@@ -24,11 +24,10 @@ use mcast_sim::routers::MulticastRouter;
 use mcast_sim::topograph::load_custom;
 use mcast_topology::{synthesize, Mesh2D, RoutingKind, Topology};
 use mcast_workload::fault_sweep::{FaultSweepConfig, FaultSweepRow};
-use mcast_workload::gen::MulticastGen;
 use mcast_workload::{
     aggregate_sweep, chaos_self_test, check_scenario, inbox_dir, resolve_jobs, run_dynamic,
     run_verify, spec_inbox_filename, DynamicConfig, ExperimentSpec, FaultSpec, JobServer,
-    PatternSpec, RetryPolicy, ServeConfig, SweepRow, TrafficPattern, VerifyScenario,
+    PatternSpec, RetryPolicy, ServeConfig, SweepRow, TrafficPattern, TrafficSource, VerifyScenario,
 };
 
 use crate::args::{parse_dims, parse_nodes, ArgError, Args, CliError};
@@ -263,6 +262,10 @@ pub fn simulate(a: &Args) -> Result<(), CliError> {
         seed: a.number("seed", 7)?,
         ..DynamicConfig::default()
     };
+    // run_dynamic panics on a topology too small for traffic; reject it
+    // here as a runtime error instead.
+    cfg.traffic_source(topo.num_nodes())
+        .map_err(|e| CliError::Runtime(format!("{topo}: {e}")))?;
     let built = topo.build();
     let result = run_dynamic(built.as_dyn(), router.as_ref(), &cfg);
     println!("algorithm: {}", router.name());
@@ -785,31 +788,25 @@ fn run_traffic(
     router: &dyn MulticastRouter,
     run: &TraceRun,
     sink: Box<dyn Sink>,
-) -> (bool, u64) {
+) -> Result<(bool, u64), CliError> {
+    let source = TrafficSource::new(
+        topo.num_nodes(),
+        run.mean_interarrival_ns,
+        run.destinations,
+        run.traffic_pattern(topo),
+        run.seed,
+    )
+    .map_err(|e| CliError::Runtime(format!("{topo}: {e}")))?;
     let built = topo.build();
     let network = Network::new(built.as_dyn(), router.required_classes());
     let mut engine = Engine::new(network, SimConfig::default());
     engine.set_sink(sink);
-    let n = topo.num_nodes();
-    let pattern = run.traffic_pattern(topo);
-    let k = run.destinations.min(n - 1);
-    let mut gen = MulticastGen::new(n, run.seed);
-    let mut next_gen: Vec<(u64, usize)> = (0..n)
-        .map(|node| (gen.exponential_ns(run.mean_interarrival_ns), node))
-        .collect();
-    for seq in 0..run.messages {
-        let (&(t, node), _) = next_gen
-            .iter()
-            .zip(0..)
-            .min_by_key(|((t, node), _)| (*t, *node))
-            .expect("generators exist");
+    for (t, mc) in source.take(run.messages) {
         engine.run_until(t);
-        let mc = pattern.apply(seq as u64, gen.multicast_distinct(node, k));
         engine.inject(&router.plan(&mc));
-        next_gen[node].0 = t + gen.exponential_ns(run.mean_interarrival_ns);
     }
     let quiesced = engine.run_to_quiescence();
-    (quiesced, engine.now())
+    Ok((quiesced, engine.now()))
 }
 
 /// Writes an output artifact, creating missing parent directories so
@@ -860,7 +857,7 @@ pub fn trace(a: &Args) -> Result<(), CliError> {
     let sink = Tee::new()
         .with(Box::new(recording.clone()))
         .with(Box::new(metrics.clone()));
-    let (quiesced, finished_ns) = run_traffic(&topo, router.as_ref(), &run, Box::new(sink));
+    let (quiesced, finished_ns) = run_traffic(&topo, router.as_ref(), &run, Box::new(sink))?;
 
     let built = topo.build();
     let network = Network::new(built.as_dyn(), router.required_classes());
@@ -935,7 +932,7 @@ pub fn metrics(a: &Args) -> Result<(), CliError> {
 
     let metrics = Metrics::new();
     let (quiesced, finished_ns) =
-        run_traffic(&topo, router.as_ref(), &run, Box::new(metrics.clone()));
+        run_traffic(&topo, router.as_ref(), &run, Box::new(metrics.clone()))?;
     let snap = metrics.snapshot();
     let registry = snap.to_registry();
 
@@ -1995,5 +1992,32 @@ mod tests {
         assert!(parse_topology("mesh:4x0").is_err());
         assert!(make_router(&TopoSpec::Mesh2D { w: 4, h: 4 }, "ecube-tree").is_err());
         assert!(make_router(&TopoSpec::Mesh2D { w: 4, h: 4 }, "dual-path:3").is_err());
+    }
+
+    #[test]
+    fn single_node_traffic_is_a_runtime_error() {
+        // A 1-node network has no destination to address: every traffic
+        // command refuses it instead of reporting zero-destination runs.
+        for cmd in ["simulate", "metrics", "trace"] {
+            let out = std::env::temp_dir().join(format!("mcast-1node-{cmd}.json"));
+            let a = args(&[
+                cmd,
+                "--topology",
+                "mesh:1x1",
+                "--out",
+                out.to_str().unwrap(),
+            ]);
+            let err = match cmd {
+                "simulate" => simulate(&a),
+                "metrics" => metrics(&a),
+                _ => trace(&a),
+            }
+            .unwrap_err();
+            assert!(
+                matches!(err, CliError::Runtime(ref m) if m.contains("at least 2 nodes")),
+                "{cmd}: {err:?}"
+            );
+            assert!(!out.exists(), "{cmd} wrote output for a rejected run");
+        }
     }
 }

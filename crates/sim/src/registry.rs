@@ -146,10 +146,19 @@ impl TopoSpec {
             }
             Ok(parts)
         };
+        let too_large = || err(format!("{spec:?} has too many nodes"));
         match kind {
             "mesh" => match dims(rest)?.as_slice() {
-                &[w, h] => Ok(TopoSpec::Mesh2D { w, h }),
-                &[w, h, d] => Ok(TopoSpec::Mesh3D { w, h, d }),
+                &[w, h] => {
+                    w.checked_mul(h).ok_or_else(too_large)?;
+                    Ok(TopoSpec::Mesh2D { w, h })
+                }
+                &[w, h, d] => {
+                    w.checked_mul(h)
+                        .and_then(|wh| wh.checked_mul(d))
+                        .ok_or_else(too_large)?;
+                    Ok(TopoSpec::Mesh3D { w, h, d })
+                }
                 other => Err(err(format!(
                     "mesh takes 2 or 3 dimensions, got {}",
                     other.len()
@@ -159,14 +168,29 @@ impl TopoSpec {
                 let dim: u32 = rest
                     .parse()
                     .map_err(|_| err(format!("bad cube dimension {rest:?}")))?;
+                if dim == 0 {
+                    return Err(err(format!(
+                        "hypercube dimension must be at least 1 in {spec:?}"
+                    )));
+                }
+                if dim >= usize::BITS - 1 {
+                    return Err(too_large());
+                }
                 Ok(TopoSpec::Hypercube { dim })
             }
             "kary" | "torus" => match dims(rest)?.as_slice() {
-                &[k, n] => Ok(TopoSpec::KAryNCube {
-                    k,
-                    n: n as u32,
-                    wraps: kind == "torus",
-                }),
+                &[k, n] => {
+                    if k < 2 {
+                        return Err(err(format!("{kind} radix must be at least 2 in {spec:?}")));
+                    }
+                    let n = u32::try_from(n).map_err(|_| too_large())?;
+                    k.checked_pow(n).ok_or_else(too_large)?;
+                    Ok(TopoSpec::KAryNCube {
+                        k,
+                        n,
+                        wraps: kind == "torus",
+                    })
+                }
                 other => Err(err(format!(
                     "{kind} takes KxN (radix x dimensions), got {} fields",
                     other.len()
@@ -1006,6 +1030,37 @@ mod tests {
         assert!(TopoSpec::parse("mesh:2x2x2x2").is_err());
         assert!(TopoSpec::parse("ring:5").is_err());
         assert!(TopoSpec::parse("kary:4").is_err());
+    }
+
+    #[test]
+    fn topo_spec_parse_rejects_specs_that_cannot_be_built() {
+        // Accepting any of these would panic in `build()` or overflow
+        // `num_nodes()`.
+        for s in [
+            "cube:0",
+            "cube:63",
+            "cube:64",
+            "kary:1x3",
+            "torus:1x2",
+            "kary:2x64",
+            "torus:3x4294967297",
+            "mesh:4294967296x4294967296",
+            "mesh:65536x65536x4294967296",
+        ] {
+            let e = TopoSpec::parse(s).expect_err(s);
+            assert!(
+                e.0.contains(s),
+                "{s}: error {:?} does not name the spec",
+                e.0
+            );
+        }
+        // The smallest accepted forms build; the widest cube parses.
+        for s in ["cube:1", "kary:2x1", "torus:2x3"] {
+            let spec = TopoSpec::parse(s).unwrap();
+            assert_eq!(spec.build().as_dyn().num_nodes(), spec.num_nodes(), "{s}");
+        }
+        let widest = TopoSpec::parse(&format!("cube:{}", usize::BITS - 2)).unwrap();
+        assert_eq!(widest.num_nodes(), 1 << (usize::BITS - 2));
     }
 
     #[test]

@@ -15,7 +15,7 @@ use mcast_sim::network::Network;
 use mcast_sim::routers::MulticastRouter;
 use mcast_topology::Topology;
 
-use crate::gen::MulticastGen;
+use crate::gen::{TrafficError, TrafficSource};
 use crate::stats::{Accumulator, BatchMeans};
 
 /// Destination selection for the per-node Poisson generators.
@@ -115,6 +115,21 @@ pub struct DynamicConfig {
     pub engine_jobs: usize,
 }
 
+impl DynamicConfig {
+    /// The per-node Poisson source this config describes over
+    /// `num_nodes` nodes — the injection stream of [`run_dynamic`] and
+    /// [`run_dynamic_stream`]. Fails on fewer than two nodes.
+    pub fn traffic_source(&self, num_nodes: usize) -> Result<TrafficSource, TrafficError> {
+        TrafficSource::new(
+            num_nodes,
+            self.mean_interarrival_ns,
+            self.destinations,
+            self.pattern,
+            self.seed,
+        )
+    }
+}
+
 impl Default for DynamicConfig {
     fn default() -> Self {
         DynamicConfig {
@@ -199,6 +214,12 @@ impl DynamicResult {
 
 /// Runs one dynamic experiment: `router` on `topo`'s network under
 /// Poisson multicast traffic.
+///
+/// # Panics
+///
+/// If `topo` has fewer than two nodes. Callers holding outside input
+/// check with [`DynamicConfig::traffic_source`] or
+/// [`ExperimentSpec::validate`](crate::ExperimentSpec::validate) first.
 pub fn run_dynamic<T: Topology + ?Sized>(
     topo: &T,
     router: &dyn MulticastRouter,
@@ -210,6 +231,10 @@ pub fn run_dynamic<T: Topology + ?Sized>(
 /// [`run_dynamic`] with an optional observability sink installed on the
 /// engine (flit-level events for tracing or metrics collection). The
 /// statistics are identical with or without a sink.
+///
+/// # Panics
+///
+/// If `topo` has fewer than two nodes, as [`run_dynamic`].
 pub fn run_dynamic_with_sink<T: Topology + ?Sized>(
     topo: &T,
     router: &dyn MulticastRouter,
@@ -226,12 +251,9 @@ pub fn run_dynamic_with_sink<T: Topology + ?Sized>(
     }
     engine.set_engine_jobs(cfg.engine_jobs);
     let n = topo.num_nodes();
-    let mut gen = MulticastGen::new(n, cfg.seed);
-
-    // Per-node next generation times.
-    let mut next_gen: Vec<(Time, usize)> = (0..n)
-        .map(|node| (gen.exponential_ns(cfg.mean_interarrival_ns), node))
-        .collect();
+    let source = cfg
+        .traffic_source(n)
+        .unwrap_or_else(|e| panic!("run_dynamic: {e}"));
 
     let mut latencies = BatchMeans::new(cfg.batch_size);
     let mut latency_hist = mcast_obs::Histogram::new();
@@ -239,24 +261,11 @@ pub fn run_dynamic_with_sink<T: Topology + ?Sized>(
     let mut traffic = Accumulator::new();
     let mut completions = 0usize;
     let mut saturated = false;
-    let mut injected = 0u64;
 
-    loop {
-        // Inject at the earliest generator firing.
-        let (&(t, node), _) = next_gen
-            .iter()
-            .zip(0..)
-            .min_by_key(|((t, node), _)| (*t, *node))
-            .expect("generators exist");
+    for (t, mc) in source {
         engine.run_until(t);
-        let mc = cfg.pattern.apply(
-            injected,
-            gen.multicast_distinct(node, cfg.destinations.min(n - 1)),
-        );
         let plan = router.plan(&mc);
         engine.inject(&plan);
-        injected += 1;
-        next_gen[node].0 = t + gen.exponential_ns(cfg.mean_interarrival_ns);
 
         // Harvest completions.
         for done in engine.take_completed() {
@@ -376,6 +385,10 @@ fn harvest(
 /// are identical to the non-streaming runner for the same config
 /// whenever both stop at the same point (the conformance fuzzer holds
 /// this as an invariant).
+///
+/// # Panics
+///
+/// If `topo` has fewer than two nodes, as [`run_dynamic`].
 pub fn run_dynamic_stream<T: Topology + ?Sized>(
     topo: &T,
     router: &dyn MulticastRouter,
@@ -390,11 +403,9 @@ pub fn run_dynamic_stream<T: Topology + ?Sized>(
     }
     engine.set_engine_jobs(cfg.engine_jobs);
     let n = topo.num_nodes();
-    let mut gen = MulticastGen::new(n, cfg.seed);
-
-    let mut next_gen: Vec<(Time, usize)> = (0..n)
-        .map(|node| (gen.exponential_ns(cfg.mean_interarrival_ns), node))
-        .collect();
+    let mut source = cfg
+        .traffic_source(n)
+        .unwrap_or_else(|e| panic!("run_dynamic_stream: {e}"));
 
     let mut latencies = BatchMeans::new(cfg.batch_size);
     let mut latency_hist = mcast_obs::Histogram::new();
@@ -402,7 +413,6 @@ pub fn run_dynamic_stream<T: Topology + ?Sized>(
     let mut traffic = Accumulator::new();
     let mut completions = 0usize;
     let mut saturated = false;
-    let mut injected = 0u64;
     let mut arena = mcast_sim::PlanArena::new();
     let mut plan = mcast_sim::DeliveryPlan {
         source: 0,
@@ -411,13 +421,10 @@ pub fn run_dynamic_stream<T: Topology + ?Sized>(
     };
 
     'source: loop {
-        let (&(t, node), _) = next_gen
-            .iter()
-            .zip(0..)
-            .min_by_key(|((t, node), _)| (*t, *node))
-            .expect("generators exist");
+        // Peek, not draw: a message held by the duration bound or by
+        // backpressure consumes no random numbers until it is injected.
         if let Some(d) = stream.duration_ns {
-            if t > d {
+            if source.peek_time() > d {
                 break;
             }
         }
@@ -451,15 +458,12 @@ pub fn run_dynamic_stream<T: Topology + ?Sized>(
                 break 'source;
             }
         }
+        let Some((t, mc)) = source.next() else {
+            break;
+        };
         engine.run_until(t);
-        let mc = cfg.pattern.apply(
-            injected,
-            gen.multicast_distinct(node, cfg.destinations.min(n - 1)),
-        );
         router.plan_into(&mc, &mut arena, &mut plan);
         engine.inject(&plan);
-        injected += 1;
-        next_gen[node].0 = t + gen.exponential_ns(cfg.mean_interarrival_ns);
 
         harvest(
             &mut engine,
@@ -472,7 +476,7 @@ pub fn run_dynamic_stream<T: Topology + ?Sized>(
         );
 
         if let Some(m) = stream.messages {
-            if injected >= m {
+            if source.injected() >= m {
                 break;
             }
         } else if stream.duration_ns.is_none() {

@@ -24,7 +24,7 @@ pub use dynamic::{
     DynamicConfig, DynamicResult, StreamConfig, ThroughputResult, TrafficPattern,
 };
 pub use fault_sweep::{run_fault_sweep, FaultSweepConfig, FaultSweepRow};
-pub use gen::MulticastGen;
+pub use gen::{MulticastGen, TrafficError, TrafficSource};
 pub use parallel::{
     aggregate_sweep, default_jobs, parallel_map, replication_seed, resolve_jobs, run_dynamic_sweep,
     sweep_points, SweepAggregate, SweepConfig, SweepPoint, SweepRow,
