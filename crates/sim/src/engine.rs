@@ -537,6 +537,14 @@ impl Engine {
         self.par.as_ref().map_or(1, |p| p.jobs())
     }
 
+    /// Exact work counters of the window-parallel executor since it
+    /// was installed: windows, inline vs pooled windows, conflict
+    /// components, lane tasks and pooled events (DESIGN.md §15). All
+    /// zero on a serial engine.
+    pub fn window_stats(&self) -> crate::partition::WindowStats {
+        self.par.as_ref().map(|p| p.stats()).unwrap_or_default()
+    }
+
     /// Test hook: install the window-cohort executor even for `jobs <=
     /// 1`, so the windowed path (cohort collection, conflict
     /// clustering, take/merge) is exercised without needing spare
@@ -1464,7 +1472,7 @@ impl Engine {
 /// The physical timing constants the event cascade needs, detached
 /// from the engine so window-parallel component execution
 /// (`partition.rs`) can run the same cascade against checked-out state.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct SimEnv {
     pub(crate) flit_time: Time,
     pub(crate) flits: u32,

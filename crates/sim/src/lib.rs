@@ -44,6 +44,7 @@ pub use collectives::{CollectiveKind, CollectiveRouter, DpmRouter, UnicastRoutin
 pub use engine::{AbortedMessage, CompletedMessage, Engine, MessageId, RunBudget, SimConfig, Time};
 pub use error::SimError;
 pub use network::{ChannelId, Network};
+pub use partition::WindowStats;
 pub use plan::{ClassChoice, DeliveryPlan, PlanArena, PlanPath, PlanStage, PlanTree, PlanWorm};
 pub use recovery::{
     AbortReason, FaultDualPathRouter, FaultMultiPathRouter, FaultMulticastRouter, FaultPlan,

@@ -11,22 +11,26 @@
 //! 1. **Collect** the cohort in canonical pop order, charging the run
 //!    budget per pop exactly as the serial loop does.
 //! 2. **Cluster** events with union-find over the state they can
-//!    reach: every event touches its worm's *message* (`Msg` key), and
-//!    channel-touching events union the class-independent *link*
-//!    (`Link` key) of the hop they acquire or release. Two events land
-//!    in one component iff their reachable state could overlap; events
-//!    in different components are proven disjoint.
-//! 3. **Check out** each component's worms, channels, and messages by
-//!    value (`mem::replace` / `mem::take` — 100% safe, no sharing),
-//!    run the shared [`exec_event`] cascade against a buffering
-//!    [`ExecCtx`] on a worker thread, recording per-event effect
-//!    marks.
+//!    reach: every event touches its worm's *message*, and
+//!    channel-touching events union the class-independent *link* of
+//!    the hop they acquire or release. Two events land in one
+//!    component iff their reachable state could overlap; events in
+//!    different components are proven disjoint. The tables behind this
+//!    are dense and epoch-stamped ([`Classify`]), so a window costs
+//!    work proportional to its events, never to the network size.
+//! 3. **Pack** the components onto at most `jobs` lanes (least-loaded
+//!    lane by event count), **check out** each lane's worms, channels,
+//!    and messages by value (`mem::replace` / `mem::take` — 100% safe,
+//!    no sharing), and run the shared [`exec_event`] cascade against a
+//!    buffering [`ExecCtx`], one task per lane, recording per-event
+//!    effect marks.
 //! 4. **Merge**: restore the checked-out state, then replay buffered
 //!    effects (queue pushes, sink emits, completions, worm frees) in
 //!    global cohort order. The event queue assigns its insertion seq
 //!    only at push time, so replaying pushes in the order the serial
 //!    loop would have made them reproduces the serial seq assignment —
-//!    and therefore every future pop — exactly.
+//!    and therefore every future pop — exactly. Lane buffers are then
+//!    cleared and kept for the next window.
 //!
 //! Determinism argument (why `--engine-jobs N` is bit-identical to
 //! serial): the cohort *is* the serial pop order (collection pops the
@@ -35,16 +39,16 @@
 //! degenerate `L = 1` single-timestamp window — at the same timestamp
 //! but with a strictly higher seq than every cohort member, so in both
 //! cases the serial loop would also have drained the whole cohort
-//! before touching them. Within the window, same-component events run
-//! sequentially in cohort order against the same state the serial
-//! loop would see (components are disjoint, so concurrent components
-//! cannot observe each other), and the canonical effect merge restores
-//! the serial order of every side effect with order sensitivity: queue
-//! seqs, sink emission order (Welford accumulators are
-//! order-sensitive in the last bits), `completed` order, and
-//! `worm_free` order (slot reuse).
+//! before touching them. Within the window, a lane runs its events
+//! sequentially in cohort order, so same-component events see the
+//! state the serial loop would see (components are disjoint, so
+//! neither other components on the same lane nor concurrent lanes can
+//! observe them), and the canonical effect merge restores the serial
+//! order of every side effect with order sensitivity: queue seqs, sink
+//! emission order (Welford accumulators are order-sensitive in the
+//! last bits), `completed` order, and `worm_free` order (slot reuse).
 
-use std::collections::{BTreeSet, HashMap};
+use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -66,15 +70,30 @@ use crate::network::ChannelId;
 /// the test hook exists precisely to exercise the machinery.)
 const INLINE_COHORT: usize = 8;
 
-/// State-reachability key for conflict clustering. `Msg` covers a
-/// message, all its worms, and their cascades (try_start chains never
-/// leave a worm); `Link` covers every class copy of one physical link
-/// (grant/release/queue traffic for a hop stays within the hop's
-/// link — an `Any`-class request scans exactly the link's copies).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum Key {
-    Msg(usize),
-    Link(ChannelId),
+/// "No entry" marker in the dense `u32` tables.
+const NONE: u32 = u32::MAX;
+
+/// Exact work counters of the window-parallel executor, summed since
+/// it was installed (DESIGN.md §15). They depend only on the simulated
+/// workload, never on the host, and all read zero on a serial engine.
+/// Every field except `lane_tasks` is also independent of the lane
+/// count.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WindowStats {
+    /// Non-empty window cohorts executed.
+    pub windows: u64,
+    /// Windows run inline on the coordinator: a cohort below the inline
+    /// threshold, or one with at most one conflict component.
+    pub inline_windows: u64,
+    /// Windows run through checkout, lane tasks and merge.
+    pub pooled_windows: u64,
+    /// Conflict components, summed over pooled windows.
+    pub components: u64,
+    /// Lane tasks, summed over pooled windows — at most
+    /// `min(jobs, components)` per window.
+    pub lane_tasks: u64,
+    /// Cohort events, summed over pooled windows.
+    pub pooled_events: u64,
 }
 
 /// The window-parallel executor installed on an [`Engine`] by
@@ -88,6 +107,15 @@ pub(crate) struct ParallelExec {
     /// checkout, canonical merge), even for tiny cohorts or `jobs = 1`.
     forced: bool,
     pool: Option<Pool>,
+    classify: Classify,
+    /// The current window's lanes, by lane index.
+    lanes: Vec<CompCtx>,
+    /// Cleared lane buffers kept across windows, so a window allocates
+    /// nothing once capacities have grown.
+    spare: Vec<CompCtx>,
+    /// Lanes returned by the pool, before they are put back in order.
+    returned: Vec<(usize, CompCtx)>,
+    stats: WindowStats,
 }
 
 impl ParallelExec {
@@ -97,6 +125,11 @@ impl ParallelExec {
             jobs,
             forced: false,
             pool: (jobs > 1).then(|| Pool::new(jobs - 1)),
+            classify: Classify::default(),
+            lanes: Vec::new(),
+            spare: Vec::new(),
+            returned: Vec::new(),
+            stats: WindowStats::default(),
         }
     }
 
@@ -110,24 +143,22 @@ impl ParallelExec {
     pub(crate) fn jobs(&self) -> usize {
         self.jobs
     }
+
+    pub(crate) fn stats(&self) -> WindowStats {
+        self.stats
+    }
 }
 
 /// A persistent worker pool: `jobs - 1` threads (the coordinator is
 /// the remaining lane) pulling [`CompCtx`] tasks from a shared stack.
+#[derive(Debug)]
 struct Pool {
     shared: Arc<Shared>,
     results: Receiver<(usize, std::thread::Result<CompCtx>)>,
     handles: Vec<JoinHandle<()>>,
 }
 
-impl std::fmt::Debug for Pool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Pool")
-            .field("workers", &self.handles.len())
-            .finish()
-    }
-}
-
+#[derive(Debug)]
 struct Shared {
     queue: Mutex<Vec<(usize, CompCtx)>>,
     cv: Condvar,
@@ -156,6 +187,38 @@ impl Pool {
             shared,
             results,
             handles,
+        }
+    }
+
+    /// Queues lanes (with their lane index) for the workers.
+    fn submit(&self, lanes: impl Iterator<Item = (usize, CompCtx)>) {
+        self.shared
+            .queue
+            .lock()
+            .expect("engine pool lock")
+            .extend(lanes);
+        self.shared.cv.notify_all();
+    }
+
+    /// Gathers `n` submitted lanes into `out`. The coordinator first
+    /// runs any lane no worker has picked up yet, then waits for the
+    /// rest; a worker's panic is re-raised here.
+    fn collect(&self, n: usize, out: &mut Vec<(usize, CompCtx)>) {
+        loop {
+            let task = self.shared.queue.lock().expect("engine pool lock").pop();
+            let Some((i, mut ctx)) = task else { break };
+            run_lane(&mut ctx);
+            out.push((i, ctx));
+        }
+        while out.len() < n {
+            let (i, res) = self
+                .results
+                .recv()
+                .expect("engine worker hung up without result");
+            match res {
+                Ok(ctx) => out.push((i, ctx)),
+                Err(panic) => resume_unwind(panic),
+            }
         }
     }
 }
@@ -187,11 +250,11 @@ fn worker_loop(shared: &Shared, tx: &Sender<(usize, std::thread::Result<CompCtx>
             }
         };
         let (idx, mut ctx) = task;
-        // Components are independent; a panic in one (a tripwire
-        // assertion, an engine bug) is captured and re-raised on the
-        // coordinator so it surfaces exactly like a serial panic.
+        // Lanes are independent; a panic in one (a tripwire assertion,
+        // an engine bug) is captured and re-raised on the coordinator
+        // so it surfaces exactly like a serial panic.
         let res = catch_unwind(AssertUnwindSafe(move || {
-            run_component(&mut ctx);
+            run_lane(&mut ctx);
             ctx
         }));
         if tx.send((idx, res)).is_err() {
@@ -200,19 +263,24 @@ fn worker_loop(shared: &Shared, tx: &Sender<(usize, std::thread::Result<CompCtx>
     }
 }
 
-/// A conflict component checked out of the engine: the worms,
-/// channels, and messages its events can reach, plus buffers for every
-/// engine-global side effect. Implements [`ExecCtx`], so the cascade
-/// code running here is byte-for-byte the code the serial engine runs.
+/// One lane of a window: the conflict components packed onto it, with
+/// the worms, channels, and messages their events can reach checked
+/// out of the engine, plus buffers for every engine-global side
+/// effect. Implements [`ExecCtx`], so the cascade code running here is
+/// byte-for-byte the code the serial engine runs.
+#[derive(Debug, Default)]
 struct CompCtx {
     env: SimEnv,
     now: Time,
     sink_on: bool,
-    /// The component's slice of the cohort, in canonical order.
+    /// The lane's slice of the cohort, in canonical order.
     events: Vec<(Time, Event)>,
     /// Sorted worm ids ∥ their checked-out state.
     worm_ids: Vec<usize>,
     worms: Vec<WormState>,
+    /// Last `(worm id, index)` resolved by `widx` — a cascade looks up
+    /// the same worm many times per event.
+    worm_memo: Cell<Option<(usize, usize)>>,
     /// Sorted channel ids ∥ state ∥ fault-liveness snapshot (faults
     /// only change between run calls, never mid-window).
     chan_ids: Vec<ChannelId>,
@@ -224,12 +292,12 @@ struct CompCtx {
     // ---- buffered effects, replayed in canonical cohort order ----
     pushes: Vec<(Time, Event)>,
     emits: Vec<SimEvent>,
-    completed: Vec<CompletedMessage>,
+    /// `Option` so the merge can move each completion out.
+    completed: Vec<Option<CompletedMessage>>,
     freed: Vec<usize>,
     /// Retired message slots (streaming mode) with their delivery
     /// buffers — replayed through `Engine::retire_slot` in canonical
-    /// cohort order so `msg_free` matches serial exactly. `Option` so
-    /// the merge can move each entry out of a shared borrow.
+    /// cohort order so `msg_free` matches serial exactly.
     retired: Vec<Option<(usize, Deliveries)>>,
     /// `(channel, dt)` utilization charges — a commutative sum, so
     /// merge order is irrelevant.
@@ -237,8 +305,8 @@ struct CompCtx {
     flit_hops: u64,
     in_flight_dec: usize,
     /// Effect-buffer end offsets after each local event — the merge
-    /// uses these to interleave effects from different components in
-    /// global cohort order.
+    /// uses these to interleave effects from different lanes in global
+    /// cohort order.
     marks: Vec<Marks>,
 }
 
@@ -252,14 +320,46 @@ struct Marks {
 }
 
 impl CompCtx {
+    /// Empties every buffer, keeping capacities, so the lane can be
+    /// reused by a later window. The state vectors were already
+    /// drained by the merge.
+    fn clear(&mut self) {
+        self.events.clear();
+        self.worm_ids.clear();
+        self.worms.clear();
+        self.worm_memo.set(None);
+        self.chan_ids.clear();
+        self.chans.clear();
+        self.alive.clear();
+        self.msg_ids.clear();
+        self.msgs.clear();
+        self.pushes.clear();
+        self.emits.clear();
+        self.completed.clear();
+        self.freed.clear();
+        self.retired.clear();
+        self.busy.clear();
+        self.flit_hops = 0;
+        self.in_flight_dec = 0;
+        self.marks.clear();
+    }
+
     fn widx(&self, w: usize) -> usize {
+        if let Some((mw, i)) = self.worm_memo.get() {
+            if mw == w {
+                return i;
+            }
+        }
         // A miss here means an event reached state outside its
         // component — a clustering soundness bug. Panic loudly (the
         // worker's catch_unwind re-raises on the coordinator) rather
         // than silently diverging from serial.
-        self.worm_ids
+        let i = self
+            .worm_ids
             .binary_search(&w)
-            .unwrap_or_else(|_| panic!("worm {w} not in conflict component"))
+            .unwrap_or_else(|_| panic!("worm {w} not in conflict component"));
+        self.worm_memo.set(Some((w, i)));
+        i
     }
 
     fn cidx(&self, c: ChannelId) -> usize {
@@ -327,7 +427,7 @@ impl ExecCtx for CompCtx {
         false
     }
     fn push_completed(&mut self, done: CompletedMessage) {
-        self.completed.push(done);
+        self.completed.push(Some(done));
     }
     fn free_worm(&mut self, w: usize) {
         self.freed.push(w);
@@ -339,15 +439,15 @@ impl ExecCtx for CompCtx {
         self.retired.push(Some((slot, d)));
     }
     fn take_done_buf(&mut self) -> Vec<(NodeId, Time)> {
-        // Components cannot reach the engine's spare pool; a fresh
-        // buffer holds identical values (capacity is not observable).
+        // Lanes cannot reach the engine's spare pool; a fresh buffer
+        // holds identical values (capacity is not observable).
         Vec::new()
     }
 }
 
-/// Runs a component's cohort slice sequentially, recording effect
-/// marks after each event.
-fn run_component(ctx: &mut CompCtx) {
+/// Runs a lane's cohort slice sequentially, recording effect marks
+/// after each event.
+fn run_lane(ctx: &mut CompCtx) {
     for i in 0..ctx.events.len() {
         let (t, ev) = ctx.events[i];
         ctx.now = t;
@@ -359,6 +459,270 @@ fn run_component(ctx: &mut CompCtx) {
             freed: ctx.freed.len(),
             retired: ctx.retired.len(),
         });
+    }
+}
+
+/// How one cohort event was classified: its slices of the flat
+/// `qworms` / `links` buffers and, in `node`, its message's union-find
+/// node — replaced by its component index once `cluster` has numbered
+/// the components (`NONE` = stale event).
+#[derive(Debug, Clone, Copy)]
+struct EvClass {
+    node: u32,
+    qworms: (u32, u32),
+    links: (u32, u32),
+}
+
+/// Dense, epoch-stamped classification tables (DESIGN.md §15.3). An
+/// id-indexed entry counts only when its stamp equals the current
+/// window's epoch, so starting a window costs one increment instead of
+/// a clear, and nothing is hashed.
+#[derive(Debug, Default)]
+struct Classify {
+    epoch: u32,
+    /// Message slot → `(stamp, union-find node)`.
+    msg_node: Vec<(u32, u32)>,
+    /// Link base channel → `(stamp, union-find node)`.
+    link_node: Vec<(u32, u32)>,
+    /// Union-find forest over this window's nodes: path halving, union
+    /// by size.
+    parent: Vec<u32>,
+    size: Vec<u32>,
+    /// Root node → component index (`NONE` = not yet seen).
+    comp_of: Vec<u32>,
+    /// "Already checked out this window" stamps (`seen_chan` by link
+    /// base). Components are disjoint, so each id belongs to exactly
+    /// one lane and one stamp per id removes duplicates.
+    seen_worm: Vec<u32>,
+    seen_chan: Vec<u32>,
+    seen_msg: Vec<u32>,
+    // ---- per-window scratch ----
+    ev: Vec<EvClass>,
+    /// Extra worms an event can reach (channel waiters, staged
+    /// dependents).
+    qworms: Vec<usize>,
+    /// Link bases an event can touch.
+    links: Vec<ChannelId>,
+    /// Events per component, then lane per component.
+    comp_events: Vec<u32>,
+    comp_lane: Vec<u32>,
+    /// Events per lane while packing.
+    lane_load: Vec<u32>,
+    /// Per cohort event: `(lane, index in lane)`, `NONE` lane = stale.
+    loc: Vec<(u32, u32)>,
+}
+
+impl Classify {
+    /// Opens a new stamp epoch and sizes the id tables to the engine's
+    /// current arenas (they only grow, between run calls).
+    fn begin(&mut self, messages: usize, channels: usize, worms: usize) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Wrapped: stamps from 2^32 windows ago would alias the
+            // new epochs, so clear them once and restart at 1.
+            self.msg_node.fill((0, 0));
+            self.link_node.fill((0, 0));
+            self.seen_worm.fill(0);
+            self.seen_chan.fill(0);
+            self.seen_msg.fill(0);
+            self.epoch = 1;
+        }
+        self.msg_node.resize(messages, (0, 0));
+        self.link_node.resize(channels, (0, 0));
+        self.seen_worm.resize(worms, 0);
+        self.seen_chan.resize(channels, 0);
+        self.seen_msg.resize(messages, 0);
+        self.parent.clear();
+        self.size.clear();
+        self.ev.clear();
+        self.qworms.clear();
+        self.links.clear();
+        self.comp_events.clear();
+        self.comp_lane.clear();
+        self.loc.clear();
+    }
+
+    fn new_node(&mut self) -> u32 {
+        let n = self.parent.len() as u32;
+        self.parent.push(n);
+        self.size.push(1);
+        n
+    }
+
+    fn msg_node(&mut self, m: usize) -> u32 {
+        let (stamp, node) = self.msg_node[m];
+        if stamp == self.epoch {
+            return node;
+        }
+        let node = self.new_node();
+        self.msg_node[m] = (self.epoch, node);
+        node
+    }
+
+    fn link_node(&mut self, base: ChannelId) -> u32 {
+        let (stamp, node) = self.link_node[base];
+        if stamp == self.epoch {
+            return node;
+        }
+        let node = self.new_node();
+        self.link_node[base] = (self.epoch, node);
+        node
+    }
+
+    fn find(&mut self, mut x: u32) -> u32 {
+        while self.parent[x as usize] != x {
+            let p = self.parent[x as usize];
+            self.parent[x as usize] = self.parent[p as usize];
+            x = self.parent[x as usize];
+        }
+        x
+    }
+
+    fn union(&mut self, a: u32, b: u32) {
+        let (ra, rb) = (self.find(a), self.find(b));
+        if ra == rb {
+            return;
+        }
+        let (big, small) = if self.size[ra as usize] >= self.size[rb as usize] {
+            (ra, rb)
+        } else {
+            (rb, ra)
+        };
+        self.parent[small as usize] = big;
+        self.size[big as usize] += self.size[small as usize];
+    }
+
+    /// First visit of `id` this window? Stamps it.
+    fn first_visit(stamps: &mut [u32], epoch: u32, id: usize) -> bool {
+        let fresh = stamps[id] != epoch;
+        stamps[id] = epoch;
+        fresh
+    }
+
+    /// Classifies every cohort event and unions its reachable state;
+    /// returns the number of conflict components (numbered in
+    /// first-seen cohort order into `comp_events`).
+    fn cluster(&mut self, engine: &Engine, cohort: &[(Time, Event)], flits: u32) -> usize {
+        for &(_, ev) in cohort {
+            let (w, e, gen) = match ev {
+                Event::TransferComplete { worm, edge, gen }
+                | Event::RequestChannel { worm, edge, gen } => (worm as usize, edge as usize, gen),
+            };
+            let q0 = self.qworms.len() as u32;
+            let l0 = self.links.len() as u32;
+            let wst = &engine.worms[w];
+            // Stale at collection time means stale for good: gen bumps
+            // and worm builds only happen between run calls.
+            if wst.gen != gen || !wst.active {
+                self.ev.push(EvClass {
+                    node: NONE,
+                    qworms: (q0, q0),
+                    links: (l0, l0),
+                });
+                continue;
+            }
+            let node = self.msg_node(wst.message);
+            match ev {
+                Event::RequestChannel { .. } => self.links.push(wst.edges[e].link_key),
+                Event::TransferComplete { .. } => {
+                    let es = &wst.edges[e];
+                    // `crossed` is stable until this event executes:
+                    // only the edge's own TransferComplete bumps it, and
+                    // an edge has at most one in flight (`busy` gates
+                    // the next transfer on this completion).
+                    let next = es.crossed + 1;
+                    if next == 1 && wst.kind != crate::engine::WormKind::Circuit {
+                        for k in es.child_start..es.child_start + es.child_count {
+                            let c = wst.children[k as usize] as usize;
+                            self.links.push(wst.edges[c].link_key);
+                        }
+                    }
+                    if next == flits {
+                        // Tail: releases the owned channel, which may
+                        // grant (and cascade into) any waiter queued on
+                        // it — join their messages too. Waiters added
+                        // *during* the window come from events that
+                        // share this link, so they are already
+                        // in-component.
+                        self.links.push(es.link_key);
+                        if let Some(chan) = es.channel {
+                            for &(w2, _) in engine.channels[chan].queue.iter() {
+                                self.qworms.push(w2);
+                                let n2 = self.msg_node(engine.worms[w2].message);
+                                self.union(node, n2);
+                            }
+                        }
+                        // A tail crossing may complete the worm, whose
+                        // cascade releases its staged dependents — each
+                        // then requests its root link (edge 0).
+                        // `dependents` is stable here: it is filled at
+                        // inject and drained only by the completion
+                        // itself (which would have marked this event
+                        // stale). The dependents share this worm's
+                        // message, so only their root links need
+                        // joining. `edges_done` may still grow inside
+                        // the window, so no completion gate here —
+                        // over-approximating the component is always
+                        // safe.
+                        for &(d, g) in wst.dependents.iter() {
+                            let dep = &engine.worms[d as usize];
+                            if dep.gen == g && dep.active {
+                                self.qworms.push(d as usize);
+                                self.links.push(dep.edges[0].link_key);
+                            }
+                        }
+                    }
+                }
+            }
+            let l1 = self.links.len() as u32;
+            for l in l0..l1 {
+                let ln = self.link_node(self.links[l as usize]);
+                self.union(node, ln);
+            }
+            self.ev.push(EvClass {
+                node,
+                qworms: (q0, self.qworms.len() as u32),
+                links: (l0, l1),
+            });
+        }
+
+        // Number components in first-seen order and count their events.
+        self.comp_of.clear();
+        self.comp_of.resize(self.parent.len(), NONE);
+        for i in 0..self.ev.len() {
+            let node = self.ev[i].node;
+            if node == NONE {
+                continue;
+            }
+            let root = self.find(node) as usize;
+            let mut c = self.comp_of[root];
+            if c == NONE {
+                c = self.comp_events.len() as u32;
+                self.comp_of[root] = c;
+                self.comp_events.push(0);
+            }
+            self.comp_events[c as usize] += 1;
+            self.ev[i].node = c;
+        }
+        self.comp_events.len()
+    }
+
+    /// Packs components, in first-seen order, onto `lanes` lanes —
+    /// each onto the least-loaded lane by event count (lowest index on
+    /// ties).
+    fn pack(&mut self, lanes: usize) {
+        self.lane_load.clear();
+        self.lane_load.resize(lanes, 0);
+        for &n in &self.comp_events {
+            let (lane, _) = self
+                .lane_load
+                .iter()
+                .enumerate()
+                .min_by_key(|&(i, &load)| (load, i))
+                .expect("at least one lane");
+            self.lane_load[lane] += n;
+            self.comp_lane.push(lane as u32);
+        }
     }
 }
 
@@ -461,295 +825,194 @@ fn execute_window(engine: &mut Engine, par: &mut ParallelExec, cohort: &[(Time, 
         return;
     }
     engine.steps += cohort.len() as u64;
+    par.stats.windows += 1;
     // Fast path: tiny cohorts (the common case under light load) and
     // jobs=1 executors gain nothing from clustering — run the cohort
     // inline through the identical cascade.
     if !par.forced && (par.pool.is_none() || cohort.len() < INLINE_COHORT) {
+        par.stats.inline_windows += 1;
         serial_exec(engine, cohort);
         return;
     }
 
     // ---- 1. classify + cluster ----
     let env = ExecCtx::env(engine);
-    let mut uf = UnionFind::default();
-    // Per-event key/queue-worm slices into flat buffers, or `None`
-    // for events that are provably stale at collection time (gen
-    // bumps and worm builds only happen between run calls, so
-    // staleness observed here is permanent).
-    let mut ev_keys: Vec<Option<(usize, usize)>> = Vec::with_capacity(cohort.len());
-    let mut keys: Vec<Key> = Vec::new();
-    let mut qworm_ranges: Vec<(usize, usize)> = Vec::with_capacity(cohort.len());
-    let mut qworms: Vec<usize> = Vec::new();
-    for &(_, ev) in cohort {
-        let (w, e, gen) = match ev {
-            Event::TransferComplete { worm, edge, gen }
-            | Event::RequestChannel { worm, edge, gen } => (worm as usize, edge as usize, gen),
-        };
-        let qw0 = qworms.len();
-        let k0 = keys.len();
-        let wst = &engine.worms[w];
-        if wst.gen != gen || !wst.active {
-            ev_keys.push(None);
-            qworm_ranges.push((qw0, qw0));
-            continue;
-        }
-        keys.push(Key::Msg(wst.message));
-        match ev {
-            Event::RequestChannel { .. } => keys.push(Key::Link(wst.edges[e].link_key)),
-            Event::TransferComplete { .. } => {
-                let es = &wst.edges[e];
-                // `crossed` is stable until this event executes: only
-                // the edge's own TransferComplete bumps it, and an
-                // edge has at most one in flight (`busy` gates the
-                // next transfer on this completion).
-                let next = es.crossed + 1;
-                if next == 1 && wst.kind != crate::engine::WormKind::Circuit {
-                    for k in es.child_start..es.child_start + es.child_count {
-                        let c = wst.children[k as usize] as usize;
-                        keys.push(Key::Link(wst.edges[c].link_key));
-                    }
-                }
-                if next == env.flits {
-                    // Tail: releases the owned channel, which may
-                    // grant (and cascade into) any waiter queued on
-                    // it — union their messages too. Waiters added
-                    // *during* the window come from events that share
-                    // this Link key, so they are already in-component.
-                    keys.push(Key::Link(es.link_key));
-                    if let Some(chan) = es.channel {
-                        for &(w2, _) in engine.channels[chan].queue.iter() {
-                            qworms.push(w2);
-                            keys.push(Key::Msg(engine.worms[w2].message));
-                        }
-                    }
-                    // A tail crossing may complete the worm, whose
-                    // cascade releases its staged dependents — each
-                    // then requests its root link (edge 0). `dependents`
-                    // is stable here: it is filled at inject and
-                    // drained only by the completion itself (which
-                    // would have marked this event stale). The
-                    // dependents share this worm's message, so the Msg
-                    // key already joins them; their root links must be
-                    // unioned explicitly. `edges_done` may still grow
-                    // inside the window, so no completion gate here —
-                    // over-approximating the component is always safe.
-                    for &(d, g) in wst.dependents.iter() {
-                        let dep = &engine.worms[d as usize];
-                        if dep.gen == g && dep.active {
-                            qworms.push(d as usize);
-                            keys.push(Key::Link(dep.edges[0].link_key));
-                        }
-                    }
-                }
-            }
-        }
-        ev_keys.push(Some((k0, keys.len())));
-        qworm_ranges.push((qw0, qworms.len()));
-        let first = uf.intern(keys[k0]);
-        for &k in &keys[k0 + 1..] {
-            let id = uf.intern(k);
-            uf.union(first, id);
-        }
-    }
-
-    // ---- 2. assemble components in first-seen order ----
-    let classes = engine.network.classes() as usize;
-    let mut root_comp: HashMap<usize, usize> = HashMap::new();
-    let mut comps: Vec<CompBuild> = Vec::new();
-    // Global cohort index -> (component, local index); `None` = stale.
-    let mut loc: Vec<Option<(usize, usize)>> = Vec::with_capacity(cohort.len());
-    for (i, &(t, ev)) in cohort.iter().enumerate() {
-        let Some((k0, k1)) = ev_keys[i] else {
-            loc.push(None);
-            continue;
-        };
-        let first = uf.intern(keys[k0]);
-        let root = uf.find(first);
-        let next = comps.len();
-        let ci = *root_comp.entry(root).or_insert(next);
-        if ci == next {
-            comps.push(CompBuild::default());
-        }
-        let cb = &mut comps[ci];
-        loc.push(Some((ci, cb.events.len())));
-        cb.events.push((t, ev));
-        let (w, _) = match ev {
-            Event::TransferComplete { worm, edge, .. }
-            | Event::RequestChannel { worm, edge, .. } => (worm as usize, edge as usize),
-        };
-        cb.worms.insert(w);
-        cb.msgs.insert(engine.worms[w].message);
-        let (q0, q1) = qworm_ranges[i];
-        for &w2 in &qworms[q0..q1] {
-            cb.worms.insert(w2);
-            cb.msgs.insert(engine.worms[w2].message);
-        }
-        for &k in &keys[k0..k1] {
-            if let Key::Link(base) = k {
-                for c in base..base + classes {
-                    cb.chans.insert(c);
-                }
-            }
-        }
-    }
-
+    let cl = &mut par.classify;
+    cl.begin(
+        engine.messages.len(),
+        engine.channels.len(),
+        engine.worms.len(),
+    );
+    let n_comp = cl.cluster(engine, cohort, env.flits);
     // Single live component (or none): nothing to overlap.
-    if comps.len() <= 1 && !par.forced {
+    if n_comp <= 1 && !par.forced {
+        par.stats.inline_windows += 1;
         serial_exec(engine, cohort);
         return;
     }
+    let n_lanes = par.jobs.min(n_comp);
+    par.stats.pooled_windows += 1;
+    par.stats.components += n_comp as u64;
+    par.stats.lane_tasks += n_lanes as u64;
+    par.stats.pooled_events += cohort.len() as u64;
 
-    // ---- 3. check out + execute ----
+    // ---- 2. pack onto lanes + check out ----
+    cl.pack(n_lanes);
     let sink_on = ExecCtx::sink_on(engine);
-    let mut tasks: Vec<(usize, CompCtx)> = Vec::with_capacity(comps.len());
-    for (ci, cb) in comps.into_iter().enumerate() {
-        let worm_ids: Vec<usize> = cb.worms.into_iter().collect();
-        let worms = worm_ids
-            .iter()
-            .map(|&w| std::mem::replace(&mut engine.worms[w], WormState::vacant()))
-            .collect();
-        let chan_ids: Vec<ChannelId> = cb.chans.into_iter().collect();
-        let chans = chan_ids
-            .iter()
-            .map(|&c| std::mem::take(&mut engine.channels[c]))
-            .collect();
-        let alive = chan_ids
-            .iter()
-            .map(|&c| engine.network.is_alive(c))
-            .collect();
-        let msg_ids: Vec<usize> = cb.msgs.into_iter().collect();
-        let msgs = msg_ids.iter().map(|&m| engine.messages[m].take()).collect();
-        let n_ev = cb.events.len();
-        tasks.push((
-            ci,
-            CompCtx {
-                env,
-                now: 0,
-                sink_on,
-                events: cb.events,
-                worm_ids,
-                worms,
-                chan_ids,
-                chans,
-                alive,
-                msg_ids,
-                msgs,
-                pushes: Vec::new(),
-                emits: Vec::new(),
-                completed: Vec::new(),
-                freed: Vec::new(),
-                retired: Vec::new(),
-                busy: Vec::new(),
-                flit_hops: 0,
-                in_flight_dec: 0,
-                marks: Vec::with_capacity(n_ev),
-            },
-        ));
+    for _ in 0..n_lanes {
+        let mut lane = par.spare.pop().unwrap_or_default();
+        lane.env = env;
+        lane.sink_on = sink_on;
+        par.lanes.push(lane);
     }
-    let n_comp = tasks.len();
-    let mut results: Vec<Option<CompCtx>> = (0..n_comp).map(|_| None).collect();
-    match &par.pool {
-        Some(pool) => {
-            {
-                let mut q = pool.shared.queue.lock().expect("engine pool lock");
-                q.extend(tasks);
+    let classes = engine.network.classes() as usize;
+    let epoch = cl.epoch;
+    for (i, &(t, ev)) in cohort.iter().enumerate() {
+        let c = cl.ev[i];
+        if c.node == NONE {
+            cl.loc.push((NONE, 0));
+            continue;
+        }
+        let li = cl.comp_lane[c.node as usize];
+        let lane = &mut par.lanes[li as usize];
+        cl.loc.push((li, lane.events.len() as u32));
+        lane.events.push((t, ev));
+        let w = match ev {
+            Event::TransferComplete { worm, .. } | Event::RequestChannel { worm, .. } => {
+                worm as usize
             }
-            pool.shared.cv.notify_all();
-            let mut done = 0;
-            // The coordinator is a full worker lane: drain tasks
-            // locally until the shared stack is empty, then collect
-            // what the workers produced.
-            loop {
-                let task = pool.shared.queue.lock().expect("engine pool lock").pop();
-                let Some((ci, mut ctx)) = task else { break };
-                run_component(&mut ctx);
-                results[ci] = Some(ctx);
-                done += 1;
+        };
+        let (q0, q1) = (c.qworms.0 as usize, c.qworms.1 as usize);
+        for w in std::iter::once(w).chain(cl.qworms[q0..q1].iter().copied()) {
+            if Classify::first_visit(&mut cl.seen_worm, epoch, w) {
+                lane.worm_ids.push(w);
             }
-            while done < n_comp {
-                let (ci, res) = pool
-                    .results
-                    .recv()
-                    .expect("engine worker hung up without result");
-                match res {
-                    Ok(ctx) => {
-                        results[ci] = Some(ctx);
-                        done += 1;
-                    }
-                    Err(panic) => resume_unwind(panic),
-                }
+            let m = engine.worms[w].message;
+            if Classify::first_visit(&mut cl.seen_msg, epoch, m) {
+                lane.msg_ids.push(m);
             }
         }
-        None => {
-            // Forced jobs=1: full machinery, coordinator-only.
-            for (ci, mut ctx) in tasks {
-                run_component(&mut ctx);
-                results[ci] = Some(ctx);
+        // Class copies of a link are consecutive channel ids and only
+        // ever join a lane together, so the base's stamp covers them.
+        for &base in &cl.links[c.links.0 as usize..c.links.1 as usize] {
+            if Classify::first_visit(&mut cl.seen_chan, epoch, base) {
+                lane.chan_ids.extend(base..base + classes);
             }
         }
     }
+    for lane in &mut par.lanes {
+        check_out(engine, lane);
+    }
+
+    // ---- 3. execute, one task per lane ----
+    run_lanes(par.pool.as_ref(), &mut par.lanes, &mut par.returned);
 
     // ---- 4. restore + canonical merge ----
-    let mut results: Vec<CompCtx> = results
-        .into_iter()
-        .map(|r| r.expect("every component produced a result"))
-        .collect();
-    for ctx in &mut results {
-        for (&w, st) in ctx.worm_ids.iter().zip(ctx.worms.drain(..)) {
-            engine.worms[w] = st;
-        }
-        for (&c, st) in ctx.chan_ids.iter().zip(ctx.chans.drain(..)) {
-            engine.channels[c] = st;
-        }
-        for (&m, st) in ctx.msg_ids.iter().zip(ctx.msgs.drain(..)) {
-            engine.messages[m] = st;
-        }
-        // Commutative integer sums: order across components is
-        // irrelevant to the exact result.
-        for &(c, dt) in &ctx.busy {
-            engine.busy_ns[c] += dt;
-        }
-        engine.flit_hops += ctx.flit_hops;
-        engine.in_flight -= ctx.in_flight_dec;
+    for lane in &mut par.lanes {
+        restore(engine, lane);
     }
     // Order-sensitive effects replay in global cohort order; each
-    // component's buffers are consumed monotonically via its marks.
-    for l in &loc {
-        let &Some((ci, k)) = l else { continue };
-        let (lo, hi) = {
-            let ctx = &results[ci];
-            let lo = if k == 0 {
-                Marks::default()
-            } else {
-                ctx.marks[k - 1]
-            };
-            let hi = ctx.marks[k];
-            for &(at, ev) in &ctx.pushes[lo.pushes..hi.pushes] {
-                engine.events.push(at, ev);
-            }
-            for &ev in &ctx.emits[lo.emits..hi.emits] {
-                engine.emit(ev);
-            }
-            for done in &ctx.completed[lo.completed..hi.completed] {
-                engine.completed.push(done.clone());
-            }
-            for &w in &ctx.freed[lo.freed..hi.freed] {
-                engine.worm_free.push(w);
-            }
-            (lo, hi)
+    // lane's buffers are consumed monotonically via its marks.
+    for &(li, k) in &par.classify.loc {
+        if li == NONE {
+            continue;
+        }
+        let lane = &mut par.lanes[li as usize];
+        let k = k as usize;
+        let lo = if k == 0 {
+            Marks::default()
+        } else {
+            lane.marks[k - 1]
         };
+        let hi = lane.marks[k];
+        for &(at, ev) in &lane.pushes[lo.pushes..hi.pushes] {
+            engine.events.push(at, ev);
+        }
+        for &ev in &lane.emits[lo.emits..hi.emits] {
+            engine.emit(ev);
+        }
+        for done in &mut lane.completed[lo.completed..hi.completed] {
+            let done = done.take().expect("completion replayed exactly once");
+            engine.completed.push(done);
+        }
+        for &w in &lane.freed[lo.freed..hi.freed] {
+            engine.worm_free.push(w);
+        }
         // Retirements recycle message slots: replaying them here, in
         // the same canonical order, makes the streaming `msg_free`
         // stack bit-identical to serial execution (slot reuse order is
-        // observable through later checkouts and `Key::Msg` keys).
-        for j in lo.retired..hi.retired {
-            let (slot, d) = results[ci].retired[j]
-                .take()
-                .expect("retired slot replayed exactly once");
+        // observable through later checkouts and message keys).
+        for r in &mut lane.retired[lo.retired..hi.retired] {
+            let (slot, d) = r.take().expect("retired slot replayed exactly once");
             engine.retire_slot(slot, d);
         }
     }
     engine.now = cohort[cohort.len() - 1].0;
+
+    // ---- 5. keep the lane buffers for the next window ----
+    for mut lane in par.lanes.drain(..) {
+        lane.clear();
+        par.spare.push(lane);
+    }
+}
+
+/// Runs a window's lanes, one task each. With a pool, lanes `1..` go
+/// to the workers and the coordinator runs lane 0 itself. `lanes` comes
+/// back complete and in lane order.
+fn run_lanes(pool: Option<&Pool>, lanes: &mut Vec<CompCtx>, returned: &mut Vec<(usize, CompCtx)>) {
+    let Some(pool) = pool.filter(|_| lanes.len() > 1) else {
+        // A single lane, or forced jobs=1: coordinator only.
+        lanes.iter_mut().for_each(run_lane);
+        return;
+    };
+    let handed_out = lanes.len() - 1;
+    pool.submit(lanes.drain(1..).enumerate().map(|(i, l)| (i + 1, l)));
+    run_lane(&mut lanes[0]);
+    pool.collect(handed_out, returned);
+    returned.sort_unstable_by_key(|&(i, _)| i);
+    lanes.extend(returned.drain(..).map(|(_, l)| l));
+}
+
+/// Moves a lane's worms, channels, and messages out of the engine.
+fn check_out(engine: &mut Engine, lane: &mut CompCtx) {
+    lane.worm_ids.sort_unstable();
+    lane.chan_ids.sort_unstable();
+    lane.msg_ids.sort_unstable();
+    lane.worms.extend(
+        lane.worm_ids
+            .iter()
+            .map(|&w| std::mem::replace(&mut engine.worms[w], WormState::vacant())),
+    );
+    lane.chans.extend(
+        lane.chan_ids
+            .iter()
+            .map(|&c| std::mem::take(&mut engine.channels[c])),
+    );
+    lane.alive
+        .extend(lane.chan_ids.iter().map(|&c| engine.network.is_alive(c)));
+    lane.msgs
+        .extend(lane.msg_ids.iter().map(|&m| engine.messages[m].take()));
+}
+
+/// Moves a finished lane's state back into the engine and applies its
+/// order-insensitive effects.
+fn restore(engine: &mut Engine, lane: &mut CompCtx) {
+    for (&w, st) in lane.worm_ids.iter().zip(lane.worms.drain(..)) {
+        engine.worms[w] = st;
+    }
+    for (&c, st) in lane.chan_ids.iter().zip(lane.chans.drain(..)) {
+        engine.channels[c] = st;
+    }
+    for (&m, st) in lane.msg_ids.iter().zip(lane.msgs.drain(..)) {
+        engine.messages[m] = st;
+    }
+    // Commutative integer sums: order across lanes is irrelevant to
+    // the exact result.
+    for &(c, dt) in &lane.busy {
+        engine.busy_ns[c] += dt;
+    }
+    engine.flit_hops += lane.flit_hops;
+    engine.in_flight -= lane.in_flight_dec;
 }
 
 /// Inline serial execution of a cohort — the fast path. The cohort was
@@ -762,59 +1025,9 @@ fn serial_exec(engine: &mut Engine, cohort: &[(Time, Event)]) {
     }
 }
 
-#[derive(Default)]
-struct CompBuild {
-    events: Vec<(Time, Event)>,
-    worms: BTreeSet<usize>,
-    chans: BTreeSet<ChannelId>,
-    msgs: BTreeSet<usize>,
-}
-
-/// Union-find over interned keys, path-halving, union by size.
-#[derive(Default)]
-struct UnionFind {
-    ids: HashMap<Key, usize>,
-    parent: Vec<usize>,
-    size: Vec<usize>,
-}
-
-impl UnionFind {
-    fn intern(&mut self, k: Key) -> usize {
-        if let Some(&i) = self.ids.get(&k) {
-            return i;
-        }
-        let i = self.parent.len();
-        self.ids.insert(k, i);
-        self.parent.push(i);
-        self.size.push(1);
-        i
-    }
-
-    fn find(&mut self, mut x: usize) -> usize {
-        while self.parent[x] != x {
-            self.parent[x] = self.parent[self.parent[x]];
-            x = self.parent[x];
-        }
-        x
-    }
-
-    fn union(&mut self, a: usize, b: usize) {
-        let (ra, rb) = (self.find(a), self.find(b));
-        if ra == rb {
-            return;
-        }
-        let (big, small) = if self.size[ra] >= self.size[rb] {
-            (ra, rb)
-        } else {
-            (rb, ra)
-        };
-        self.parent[small] = big;
-        self.size[big] += self.size[small];
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use super::{WindowStats, NONE};
     use crate::engine::{Engine, RunBudget, SimConfig, Time};
     use crate::network::Network;
     use crate::plan::{ClassChoice, DeliveryPlan, PlanPath, PlanWorm};
@@ -837,19 +1050,20 @@ mod tests {
         )
     }
 
-    /// A contended 8×8 dual-path workload: enough simultaneous
-    /// multicasts that window cohorts exceed the inline threshold and
-    /// split into several conflict components.
-    fn inject_dense(e: &mut Engine, router: &DualPathRouter<Mesh2D>, n: usize) {
+    /// A contended dual-path workload on a `side`×`side` mesh: enough
+    /// simultaneous multicasts that window cohorts exceed the inline
+    /// threshold and split into several conflict components.
+    fn inject_dense(e: &mut Engine, router: &DualPathRouter<Mesh2D>, side: usize, n: usize) {
+        let nodes = (side * side) as u64;
         let mut x = 0x9E3779B97F4A7C15u64;
         for _ in 0..n {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
-            let src = (x % 64) as usize;
-            let d1 = ((x >> 8) % 64) as usize;
-            let d2 = ((x >> 16) % 64) as usize;
-            let d3 = ((x >> 24) % 64) as usize;
+            let src = (x % nodes) as usize;
+            let d1 = ((x >> 8) % nodes) as usize;
+            let d2 = ((x >> 16) % nodes) as usize;
+            let d3 = ((x >> 24) % nodes) as usize;
             let dests: Vec<usize> = [d1, d2, d3].into_iter().filter(|&d| d != src).collect();
             if dests.is_empty() {
                 continue;
@@ -858,19 +1072,23 @@ mod tests {
         }
     }
 
-    fn run_pair(jobs: usize, forced: bool, cfg: SimConfig) -> (String, String) {
-        let mesh = Mesh2D::new(8, 8);
+    /// Runs two waves of `n` then `n / 2` multicasts on a serial engine
+    /// and on one with `install` applied; returns both fingerprints and
+    /// the second engine's window counters.
+    fn run_pair_with(
+        side: usize,
+        n: usize,
+        cfg: SimConfig,
+        install: impl Fn(&mut Engine),
+    ) -> (String, String, WindowStats) {
+        let mesh = Mesh2D::new(side, side);
         let router = DualPathRouter::mesh(mesh);
-        let mk = || Engine::new(Network::new(&Mesh2D::new(8, 8), 1), cfg);
+        let mk = || Engine::new(Network::new(&Mesh2D::new(side, side), 1), cfg);
         let mut serial = mk();
         let mut par = mk();
-        if forced {
-            par.set_engine_jobs_forced(jobs);
-        } else {
-            par.set_engine_jobs(jobs);
-        }
+        install(&mut par);
         for e in [&mut serial, &mut par] {
-            inject_dense(e, &router, 48);
+            inject_dense(e, &router, side, n);
             // Slice the run so windowed `run_until` is exercised with
             // mid-flight boundaries, then drain.
             for slice in 1..6 {
@@ -879,10 +1097,25 @@ mod tests {
             assert!(e.run_to_quiescence(), "workload must drain");
             // A second wave after quiescence exercises slot reuse
             // (worm_free order) under the windowed executor.
-            inject_dense(e, &router, 24);
+            inject_dense(e, &router, side, n / 2);
             assert!(e.run_to_quiescence(), "second wave must drain");
         }
-        (fingerprint(&mut serial), fingerprint(&mut par))
+        assert_eq!(serial.window_stats(), WindowStats::default());
+        let stats = par.window_stats();
+        (fingerprint(&mut serial), fingerprint(&mut par), stats)
+    }
+
+    fn run_pair(jobs: usize, forced: bool, cfg: SimConfig) -> (String, String) {
+        let (s, p, _) = run_pair_with(8, 48, cfg, |e| install(e, jobs, forced));
+        (s, p)
+    }
+
+    fn install(e: &mut Engine, jobs: usize, forced: bool) {
+        if forced {
+            e.set_engine_jobs_forced(jobs);
+        } else {
+            e.set_engine_jobs(jobs);
+        }
     }
 
     #[test]
@@ -955,7 +1188,7 @@ mod tests {
             par.set_engine_jobs_forced(2);
             for e in [&mut serial, &mut par] {
                 e.set_budget(RunBudget::with_max_steps(cap));
-                inject_dense(e, &router, 16);
+                inject_dense(e, &router, 8, 16);
                 let done = e.run_to_quiescence();
                 assert!(!done || !e.budget_exhausted());
             }
@@ -981,7 +1214,7 @@ mod tests {
         let mut par = mk();
         par.set_engine_jobs_forced(3);
         for e in [&mut serial, &mut par] {
-            inject_dense(e, &router, 32);
+            inject_dense(e, &router, 8, 32);
             // Boundaries chosen to land mid-window, on exact event
             // times (multiples of 400), and past quiescence.
             let mut processed = Vec::new();
@@ -1007,7 +1240,7 @@ mod tests {
         let mut par = mk();
         par.set_engine_jobs_forced(2);
         for e in [&mut serial, &mut par] {
-            inject_dense(e, &router, 24);
+            inject_dense(e, &router, 8, 24);
             // Interleave single steps (always serial) with windowed
             // run_until calls.
             for _ in 0..10 {
@@ -1020,6 +1253,60 @@ mod tests {
             assert!(e.run_to_quiescence());
         }
         assert_eq!(fingerprint(&mut serial), fingerprint(&mut par));
+    }
+
+    /// The window counters are exact: they repeat run to run, only
+    /// `lane_tasks` depends on the lane count, and a window never has
+    /// more lane tasks than lanes or components.
+    #[test]
+    fn window_stats_are_exact_and_lane_count_independent() {
+        let stats =
+            |jobs| run_pair_with(8, 48, SimConfig::default(), |e| install(e, jobs, false)).2;
+        let two = stats(2);
+        assert_eq!(two, stats(2), "two identical runs give identical stats");
+        assert!(two.pooled_windows > 0, "workload must reach pooled windows");
+        assert_eq!(two.windows, two.inline_windows + two.pooled_windows);
+        for jobs in [2u64, 3, 4] {
+            let s = stats(jobs as usize);
+            let without_lanes = |s: WindowStats| WindowStats { lane_tasks: 0, ..s };
+            assert_eq!(without_lanes(s), without_lanes(two), "jobs={jobs}");
+            assert!(
+                s.lane_tasks <= s.components.min(jobs * s.pooled_windows),
+                "jobs={jobs}: {s:?}"
+            );
+            // A pooled (non-forced) window has at least two components.
+            assert!(s.lane_tasks >= 2 * s.pooled_windows, "jobs={jobs}: {s:?}");
+        }
+    }
+
+    /// Starting the stamp epoch just below `u32::MAX` makes a forced
+    /// run cross the wrap, where every stamp table is cleared once.
+    #[test]
+    fn epoch_wrap_matches_serial() {
+        let (s, p, stats) = run_pair_with(8, 48, SimConfig::default(), |e| {
+            e.set_engine_jobs_forced(2);
+            e.par.as_mut().expect("installed").classify.epoch = NONE - 2;
+        });
+        assert!(stats.pooled_windows > 3, "run must cross the wrap");
+        assert_eq!(s, p, "a run across the epoch wrap must be bit-identical");
+    }
+
+    /// Hundreds of multicasts on a 32×32 mesh: windows hold many
+    /// conflict components, so each lane packs several of them.
+    #[test]
+    fn many_components_per_lane_match_serial() {
+        for forced in [true, false] {
+            for jobs in [2, 3, 4] {
+                let (s, p, stats) =
+                    run_pair_with(32, 300, SimConfig::default(), |e| install(e, jobs, forced));
+                assert_eq!(s, p, "jobs={jobs} forced={forced} must be bit-identical");
+                assert!(
+                    stats.components >= 4 * stats.pooled_windows,
+                    "jobs={jobs} forced={forced}: under 4 components per pooled window: {stats:?}"
+                );
+                assert!(stats.lane_tasks <= jobs as u64 * stats.pooled_windows);
+            }
+        }
     }
 
     #[test]
