@@ -14,7 +14,7 @@ use mcast_obs::{
 use mcast_sim::deadlock::{
     fig_6_1_broadcasts, fig_6_4_multicasts, run_closed_scenario, run_closed_scenario_recovering,
 };
-use mcast_sim::engine::{Engine, SimConfig};
+use mcast_sim::engine::SimConfig;
 use mcast_sim::network::Network;
 use mcast_sim::recovery::{ObliviousRouter, RecoveryPolicy};
 use mcast_sim::registry::{
@@ -26,8 +26,9 @@ use mcast_topology::{synthesize, Mesh2D, RoutingKind, Topology};
 use mcast_workload::fault_sweep::{FaultSweepConfig, FaultSweepRow};
 use mcast_workload::{
     aggregate_sweep, chaos_self_test, check_scenario, inbox_dir, resolve_jobs, run_dynamic,
-    run_verify, spec_inbox_filename, DynamicConfig, ExperimentSpec, FaultSpec, JobServer,
-    PatternSpec, RetryPolicy, ServeConfig, SweepRow, TrafficPattern, TrafficSource, VerifyScenario,
+    run_dynamic_with_sink, run_verify, spec_inbox_filename, DynamicConfig, ExperimentSpec,
+    FaultSpec, JobServer, PatternSpec, RetryPolicy, ServeConfig, StreamConfig, SweepRow,
+    TrafficPattern, VerifyScenario,
 };
 
 use crate::args::{parse_dims, parse_nodes, ArgError, Args, CliError};
@@ -789,24 +790,24 @@ fn run_traffic(
     run: &TraceRun,
     sink: Box<dyn Sink>,
 ) -> Result<(bool, u64), CliError> {
-    let source = TrafficSource::new(
-        topo.num_nodes(),
-        run.mean_interarrival_ns,
-        run.destinations,
-        run.traffic_pattern(topo),
-        run.seed,
-    )
-    .map_err(|e| CliError::Runtime(format!("{topo}: {e}")))?;
+    let cfg = DynamicConfig {
+        mean_interarrival_ns: run.mean_interarrival_ns,
+        destinations: run.destinations,
+        pattern: run.traffic_pattern(topo),
+        seed: run.seed,
+        ..DynamicConfig::default()
+    };
+    // The runner panics on a topology too small for traffic; reject it
+    // here as a runtime error instead.
+    cfg.traffic_source(topo.num_nodes())
+        .map_err(|e| CliError::Runtime(format!("{topo}: {e}")))?;
+    let stream = StreamConfig {
+        messages: Some(run.messages as u64),
+        ..StreamConfig::UNBOUNDED
+    };
     let built = topo.build();
-    let network = Network::new(built.as_dyn(), router.required_classes());
-    let mut engine = Engine::new(network, SimConfig::default());
-    engine.set_sink(sink);
-    for (t, mc) in source.take(run.messages) {
-        engine.run_until(t);
-        engine.inject(&router.plan(&mc));
-    }
-    let quiesced = engine.run_to_quiescence();
-    Ok((quiesced, engine.now()))
+    let result = run_dynamic_with_sink(built.as_dyn(), router, &cfg, &stream, Some(sink));
+    Ok((result.completed == run.messages, result.sim_time_ns))
 }
 
 /// Writes an output artifact, creating missing parent directories so

@@ -28,10 +28,11 @@ pub trait MulticastRouter {
     /// Builds the plan for `mc` into `out`, recycling `out`'s previous
     /// buffers through `arena` (DESIGN.md §16). The result must be
     /// identical to `plan(mc)`; the default implementation guarantees
-    /// that by delegating. Routers on the streaming hot path override
-    /// this to reuse arena buffers instead of allocating.
-    fn plan_into(&self, mc: &MulticastSet, arena: &mut PlanArena, out: &mut DeliveryPlan) {
-        arena.recycle(out);
+    /// that by delegating, and drops the old plan rather than pooling
+    /// buffers it would never take back out. Routers on the streaming
+    /// hot path override this to reuse arena buffers instead of
+    /// allocating.
+    fn plan_into(&self, mc: &MulticastSet, _arena: &mut PlanArena, out: &mut DeliveryPlan) {
         *out = self.plan(mc);
     }
 }
@@ -616,11 +617,21 @@ mod tests {
             worms: Vec::new(),
         };
         for r in &routers {
-            for (src, dests) in [(14usize, vec![0, 35, 7]), (0, vec![20]), (35, vec![1, 2])] {
-                let mc = MulticastSet::new(src, dests);
-                r.plan_into(&mc, &mut arena, &mut out);
-                assert_eq!(out, r.plan(&mc), "{}", r.name());
+            // Hundreds of repeats: the arena's pool must stay bounded by
+            // one plan's buffers, not grow with the number of calls.
+            for _ in 0..300 {
+                for (src, dests) in [(14usize, vec![0, 35, 7]), (0, vec![20]), (35, vec![1, 2])] {
+                    let mc = MulticastSet::new(src, dests);
+                    r.plan_into(&mc, &mut arena, &mut out);
+                    assert_eq!(out, r.plan(&mc), "{}", r.name());
+                }
             }
+            assert!(
+                arena.pooled() < 16,
+                "{}: {} pooled buffers",
+                r.name(),
+                arena.pooled()
+            );
         }
     }
 

@@ -99,7 +99,7 @@ impl VerifyScenario {
         });
         spec.engine_jobs = self.engine_jobs;
         if self.stream {
-            spec.stream = Some(crate::spec::StreamSpec::default());
+            spec.stream = Some(crate::dynamic::StreamConfig::default());
         }
         spec
     }

@@ -213,7 +213,9 @@ impl DynamicResult {
 }
 
 /// Runs one dynamic experiment: `router` on `topo`'s network under
-/// Poisson multicast traffic.
+/// Poisson multicast traffic, stopped by the batch-means rule of `cfg`
+/// or its saturation guard — [`run_dynamic_stream`] with
+/// [`StreamConfig::UNBOUNDED`].
 ///
 /// # Panics
 ///
@@ -225,95 +227,7 @@ pub fn run_dynamic<T: Topology + ?Sized>(
     router: &dyn MulticastRouter,
     cfg: &DynamicConfig,
 ) -> DynamicResult {
-    run_dynamic_with_sink(topo, router, cfg, None)
-}
-
-/// [`run_dynamic`] with an optional observability sink installed on the
-/// engine (flit-level events for tracing or metrics collection). The
-/// statistics are identical with or without a sink.
-///
-/// # Panics
-///
-/// If `topo` has fewer than two nodes, as [`run_dynamic`].
-pub fn run_dynamic_with_sink<T: Topology + ?Sized>(
-    topo: &T,
-    router: &dyn MulticastRouter,
-    cfg: &DynamicConfig,
-    sink: Option<Box<dyn mcast_obs::Sink>>,
-) -> DynamicResult {
-    let network = Network::new(topo, router.required_classes());
-    let mut engine = Engine::new(network, cfg.sim);
-    if let Some(s) = sink {
-        engine.set_sink(s);
-    }
-    if let Some(b) = &cfg.budget {
-        engine.set_budget(b.clone());
-    }
-    engine.set_engine_jobs(cfg.engine_jobs);
-    let n = topo.num_nodes();
-    let source = cfg
-        .traffic_source(n)
-        .unwrap_or_else(|e| panic!("run_dynamic: {e}"));
-
-    let mut latencies = BatchMeans::new(cfg.batch_size);
-    let mut latency_hist = mcast_obs::Histogram::new();
-    let mut latency_stats = Accumulator::new();
-    let mut traffic = Accumulator::new();
-    let mut completions = 0usize;
-    let mut saturated = false;
-
-    for (t, mc) in source {
-        engine.run_until(t);
-        let plan = router.plan(&mc);
-        engine.inject(&plan);
-
-        // Harvest completions.
-        for done in engine.take_completed() {
-            completions += 1;
-            if completions <= cfg.warmup {
-                continue;
-            }
-            let us = (done.completed_at - done.injected_at) as f64 / 1000.0;
-            latencies.push(us);
-            latency_stats.push(us);
-            latency_hist.record(done.completed_at - done.injected_at);
-            traffic.push(done.traffic as f64);
-        }
-
-        if latencies.batches() >= cfg.max_batches
-            || latencies.converged(cfg.min_batches, cfg.ci_ratio)
-        {
-            break;
-        }
-        if engine.in_flight() > cfg.max_in_flight_per_node * n {
-            saturated = true;
-            break;
-        }
-        // A spent budget stops the engine from advancing; without this
-        // break the injection loop above would spin forever.
-        if engine.budget_exhausted() {
-            break;
-        }
-    }
-
-    DynamicResult {
-        mean_latency_us: latencies.mean(),
-        ci_us: latencies.ci_half_width_95(),
-        batches: latencies.batches(),
-        measured: latencies.observations(),
-        mean_traffic: traffic.mean(),
-        saturated,
-        converged: latencies.converged(cfg.min_batches, cfg.ci_ratio),
-        sim_time_ns: engine.now(),
-        latency_hist_ns: latency_hist,
-        latency_stats,
-        completed: completions,
-        flit_hops: engine.flit_hops(),
-        engine_steps: engine.steps(),
-        budget_exhausted: engine.budget_exhausted(),
-        peak_live_worms: engine.peak_live_worms(),
-        peak_in_flight: engine.peak_in_flight(),
-    }
+    run_dynamic_with_sink(topo, router, cfg, &StreamConfig::UNBOUNDED, None)
 }
 
 /// Bounds of one streaming (open-loop, bounded-memory) run — see
@@ -333,6 +247,17 @@ pub struct StreamConfig {
     pub max_in_flight: usize,
 }
 
+impl StreamConfig {
+    /// No message or duration bound and no backpressure: the run stops
+    /// on the batch-means rule or the saturation guard of its
+    /// [`DynamicConfig`], exactly where [`run_dynamic`] stops.
+    pub const UNBOUNDED: StreamConfig = StreamConfig {
+        messages: None,
+        duration_ns: None,
+        max_in_flight: usize::MAX,
+    };
+}
+
 impl Default for StreamConfig {
     fn default() -> Self {
         StreamConfig {
@@ -343,35 +268,80 @@ impl Default for StreamConfig {
     }
 }
 
-fn harvest(
-    engine: &mut Engine,
-    warmup: usize,
-    completions: &mut usize,
-    latencies: &mut BatchMeans,
-    latency_stats: &mut Accumulator,
-    latency_hist: &mut mcast_obs::Histogram,
-    traffic: &mut Accumulator,
-) {
-    engine.drain_completed(|done| {
-        *completions += 1;
-        if *completions <= warmup {
-            return;
-        }
-        let us = (done.completed_at - done.injected_at) as f64 / 1000.0;
-        latencies.push(us);
-        latency_stats.push(us);
-        latency_hist.record(done.completed_at - done.injected_at);
-        traffic.push(done.traffic as f64);
-    });
+/// The statistics one run folds from its completions: the batch-means
+/// estimator plus the per-message distributions of [`DynamicResult`].
+struct RunStats<'a> {
+    cfg: &'a DynamicConfig,
+    completions: usize,
+    latencies: BatchMeans,
+    latency_hist: mcast_obs::Histogram,
+    latency_stats: Accumulator,
+    traffic: Accumulator,
 }
 
-/// Runs a dynamic experiment in **streaming** mode: same per-node
-/// Poisson generators as [`run_dynamic`], but the engine recycles
-/// message/worm slots and delivery buffers, statistics are folded
-/// incrementally from [`Engine::drain_completed`], and plans are built
-/// through a [`PlanArena`](mcast_sim::PlanArena) — so memory is
-/// O(in-flight), not O(messages), and million-multicast runs fit in a
-/// bounded footprint (DESIGN.md §16).
+impl<'a> RunStats<'a> {
+    fn new(cfg: &'a DynamicConfig) -> Self {
+        RunStats {
+            cfg,
+            completions: 0,
+            latencies: BatchMeans::new(cfg.batch_size),
+            latency_hist: mcast_obs::Histogram::new(),
+            latency_stats: Accumulator::new(),
+            traffic: Accumulator::new(),
+        }
+    }
+
+    /// Folds every completion the engine has buffered; the run's first
+    /// `warmup` completions count but are not measured.
+    fn fold(&mut self, engine: &mut Engine) {
+        engine.drain_completed(|done| {
+            self.completions += 1;
+            if self.completions <= self.cfg.warmup {
+                return;
+            }
+            let us = (done.completed_at - done.injected_at) as f64 / 1000.0;
+            self.latencies.push(us);
+            self.latency_stats.push(us);
+            self.latency_hist
+                .record(done.completed_at - done.injected_at);
+            self.traffic.push(done.traffic as f64);
+        });
+    }
+
+    fn converged(&self) -> bool {
+        self.latencies
+            .converged(self.cfg.min_batches, self.cfg.ci_ratio)
+    }
+
+    fn finish(self, engine: &Engine, saturated: bool) -> DynamicResult {
+        DynamicResult {
+            mean_latency_us: self.latencies.mean(),
+            ci_us: self.latencies.ci_half_width_95(),
+            batches: self.latencies.batches(),
+            measured: self.latencies.observations(),
+            mean_traffic: self.traffic.mean(),
+            saturated,
+            converged: self.converged(),
+            sim_time_ns: engine.now(),
+            latency_hist_ns: self.latency_hist,
+            latency_stats: self.latency_stats,
+            completed: self.completions,
+            flit_hops: engine.flit_hops(),
+            engine_steps: engine.steps(),
+            budget_exhausted: engine.budget_exhausted(),
+            peak_live_worms: engine.peak_live_worms(),
+            peak_in_flight: engine.peak_in_flight(),
+        }
+    }
+}
+
+/// Runs a dynamic experiment in **streaming** mode: per-node Poisson
+/// generators drive the engine, which recycles message/worm slots and
+/// delivery buffers, statistics are folded incrementally from
+/// [`Engine::drain_completed`], and plans are built through a
+/// [`PlanArena`](mcast_sim::PlanArena) — so memory is O(in-flight), not
+/// O(messages), and million-multicast runs fit in a bounded footprint
+/// (DESIGN.md §16).
 ///
 /// `stream.max_in_flight` applies backpressure: once that many messages
 /// are live, injection waits for the network to drain before admitting
@@ -380,11 +350,9 @@ fn harvest(
 /// at the cap — the run is wedged and reports `saturated`.
 ///
 /// With `stream.messages`/`stream.duration_ns` unset, the stopping rule
-/// is the batch-means CI rule of `cfg`, making this a drop-in
-/// bounded-memory variant of [`run_dynamic`]. The measured statistics
-/// are identical to the non-streaming runner for the same config
-/// whenever both stop at the same point (the conformance fuzzer holds
-/// this as an invariant).
+/// is the batch-means CI rule of `cfg` with its saturation guard; with
+/// [`StreamConfig::UNBOUNDED`] this is [`run_dynamic`]. Whenever the cap
+/// does not bind, the result does not depend on it.
 ///
 /// # Panics
 ///
@@ -395,9 +363,33 @@ pub fn run_dynamic_stream<T: Topology + ?Sized>(
     cfg: &DynamicConfig,
     stream: &StreamConfig,
 ) -> DynamicResult {
+    run_dynamic_with_sink(topo, router, cfg, stream, None)
+}
+
+/// [`run_dynamic_stream`] with an optional observability sink installed
+/// on the engine (flit-level events for tracing or metrics collection).
+/// The statistics are identical with or without a sink.
+///
+/// This is the one Poisson injection loop behind every dynamic runner:
+/// draw → plan → inject → fold, under the stream bounds and
+/// backpressure, else the batch-means stopping rule of `cfg`.
+///
+/// # Panics
+///
+/// If `topo` has fewer than two nodes, as [`run_dynamic`].
+pub fn run_dynamic_with_sink<T: Topology + ?Sized>(
+    topo: &T,
+    router: &dyn MulticastRouter,
+    cfg: &DynamicConfig,
+    stream: &StreamConfig,
+    sink: Option<Box<dyn mcast_obs::Sink>>,
+) -> DynamicResult {
     let network = Network::new(topo, router.required_classes());
     let mut engine = Engine::new(network, cfg.sim);
     engine.set_stream_mode(true);
+    if let Some(s) = sink {
+        engine.set_sink(s);
+    }
     if let Some(b) = &cfg.budget {
         engine.set_budget(b.clone());
     }
@@ -405,13 +397,10 @@ pub fn run_dynamic_stream<T: Topology + ?Sized>(
     let n = topo.num_nodes();
     let mut source = cfg
         .traffic_source(n)
-        .unwrap_or_else(|e| panic!("run_dynamic_stream: {e}"));
+        .unwrap_or_else(|e| panic!("run_dynamic: {e}"));
 
-    let mut latencies = BatchMeans::new(cfg.batch_size);
-    let mut latency_hist = mcast_obs::Histogram::new();
-    let mut latency_stats = Accumulator::new();
-    let mut traffic = Accumulator::new();
-    let mut completions = 0usize;
+    let bounded = stream.messages.is_some() || stream.duration_ns.is_some();
+    let mut stats = RunStats::new(cfg);
     let mut saturated = false;
     let mut arena = mcast_sim::PlanArena::new();
     let mut plan = mcast_sim::DeliveryPlan {
@@ -421,25 +410,17 @@ pub fn run_dynamic_stream<T: Topology + ?Sized>(
     };
 
     'source: loop {
-        // Peek, not draw: a message held by the duration bound or by
-        // backpressure consumes no random numbers until it is injected.
-        if let Some(d) = stream.duration_ns {
-            if source.peek_time() > d {
-                break;
-            }
+        // Peek, not draw: a message held by a bound or by backpressure
+        // consumes no random numbers until it is injected.
+        if stream.messages.is_some_and(|m| source.injected() >= m)
+            || stream.duration_ns.is_some_and(|d| source.peek_time() > d)
+        {
+            break;
         }
         // Backpressure: hold this injection until the live population
         // drops below the cap, advancing the engine event by event.
         while engine.in_flight() >= stream.max_in_flight {
-            harvest(
-                &mut engine,
-                cfg.warmup,
-                &mut completions,
-                &mut latencies,
-                &mut latency_stats,
-                &mut latency_hist,
-                &mut traffic,
-            );
+            stats.fold(&mut engine);
             if engine.in_flight() < stream.max_in_flight {
                 break;
             }
@@ -464,25 +445,10 @@ pub fn run_dynamic_stream<T: Topology + ?Sized>(
         engine.run_until(t);
         router.plan_into(&mc, &mut arena, &mut plan);
         engine.inject(&plan);
+        stats.fold(&mut engine);
 
-        harvest(
-            &mut engine,
-            cfg.warmup,
-            &mut completions,
-            &mut latencies,
-            &mut latency_stats,
-            &mut latency_hist,
-            &mut traffic,
-        );
-
-        if let Some(m) = stream.messages {
-            if source.injected() >= m {
-                break;
-            }
-        } else if stream.duration_ns.is_none() {
-            if latencies.batches() >= cfg.max_batches
-                || latencies.converged(cfg.min_batches, cfg.ci_ratio)
-            {
+        if !bounded {
+            if stats.latencies.batches() >= cfg.max_batches || stats.converged() {
                 break;
             }
             if engine.in_flight() > cfg.max_in_flight_per_node * n {
@@ -490,48 +456,22 @@ pub fn run_dynamic_stream<T: Topology + ?Sized>(
                 break;
             }
         }
+        // A spent budget stops the engine from advancing; without this
+        // break the injection loop would spin forever.
         if engine.budget_exhausted() {
             break;
         }
     }
 
     // A count- or duration-bounded run drains its tail so every admitted
-    // message resolves; the CI-rule path stops exactly where
-    // `run_dynamic` stops (backlog left in flight) so the two report
-    // identical statistics. Wedged or out-of-budget runs keep their
-    // backlog either way.
-    let drain_tail = stream.messages.is_some() || stream.duration_ns.is_some();
-    if drain_tail && !saturated && !engine.budget_exhausted() {
+    // message resolves; the CI-rule path stops where the rule fires,
+    // leaving its backlog in flight. Wedged or out-of-budget runs keep
+    // their backlog either way.
+    if bounded && !saturated && !engine.budget_exhausted() {
         engine.run_to_quiescence();
-        harvest(
-            &mut engine,
-            cfg.warmup,
-            &mut completions,
-            &mut latencies,
-            &mut latency_stats,
-            &mut latency_hist,
-            &mut traffic,
-        );
+        stats.fold(&mut engine);
     }
-
-    DynamicResult {
-        mean_latency_us: latencies.mean(),
-        ci_us: latencies.ci_half_width_95(),
-        batches: latencies.batches(),
-        measured: latencies.observations(),
-        mean_traffic: traffic.mean(),
-        saturated,
-        converged: latencies.converged(cfg.min_batches, cfg.ci_ratio),
-        sim_time_ns: engine.now(),
-        latency_hist_ns: latency_hist,
-        latency_stats,
-        completed: completions,
-        flit_hops: engine.flit_hops(),
-        engine_steps: engine.steps(),
-        budget_exhausted: engine.budget_exhausted(),
-        peak_live_worms: engine.peak_live_worms(),
-        peak_in_flight: engine.peak_in_flight(),
-    }
+    stats.finish(&engine, saturated)
 }
 
 /// Result of a closed-loop saturation-throughput run.
@@ -711,9 +651,9 @@ mod tests {
     #[test]
     fn streaming_ci_rule_matches_run_dynamic_bitwise() {
         // With neither a message count nor a duration, the streaming
-        // runner uses the same batch-means stopping rule — and with a
+        // runner uses the batch-means stopping rule — and with a
         // non-binding in-flight cap the whole run must be bit-identical
-        // to the materializing runner.
+        // to the uncapped `run_dynamic`.
         let mesh = Mesh2D::new(8, 8);
         let router = DualPathRouter::mesh(mesh);
         let mut cfg = quick_cfg();

@@ -34,6 +34,6 @@ pub use serve::{
     JobId, JobOutcome, JobServer, Journal, Ledger, RetryPolicy, ServeConfig, ServeError,
     SubmitStatus,
 };
-pub use spec::{ExperimentSpec, FaultSpec, PatternSpec, StoppingRule, StreamSpec};
+pub use spec::{ExperimentSpec, FaultSpec, PatternSpec, StoppingRule};
 pub use static_eval::{broadcast_additional, measure_traffic, TrafficPoint};
 pub use stats::{Accumulator, BatchMeans};

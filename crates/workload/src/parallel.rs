@@ -26,7 +26,7 @@ use std::sync::Mutex;
 use mcast_sim::routers::MulticastRouter;
 use mcast_topology::Topology;
 
-use crate::dynamic::{run_dynamic, run_dynamic_stream, DynamicConfig, DynamicResult, StreamConfig};
+use crate::dynamic::{run_dynamic_stream, DynamicConfig, DynamicResult, StreamConfig};
 use crate::stats::Accumulator;
 
 /// Resolves a job-count request: `Some(n)` forces `n`, `None` reads
@@ -122,9 +122,9 @@ pub struct SweepConfig {
     /// Independent replications (distinct derived seeds) per
     /// (scheme, load) point.
     pub replications: usize,
-    /// Run every point through the bounded-memory streaming runner
-    /// ([`run_dynamic_stream`]) instead of the materializing one.
-    /// `None` — the default — keeps the historical `run_dynamic` path.
+    /// Message, duration and in-flight bounds for every point's
+    /// [`run_dynamic_stream`]. `None` — the default — runs each point
+    /// unbounded ([`StreamConfig::UNBOUNDED`], i.e. `run_dynamic`).
     pub stream: Option<StreamConfig>,
 }
 
@@ -218,10 +218,8 @@ pub fn run_dynamic_sweep<T: Topology + Sync + ?Sized>(
         let mut point_cfg = cfg.base.clone();
         point_cfg.mean_interarrival_ns = point.mean_interarrival_ns;
         point_cfg.seed = point.seed;
-        match &cfg.stream {
-            Some(stream) => run_dynamic_stream(topo, routers[*router_idx].1, &point_cfg, stream),
-            None => run_dynamic(topo, routers[*router_idx].1, &point_cfg),
-        }
+        let stream = cfg.stream.unwrap_or(StreamConfig::UNBOUNDED);
+        run_dynamic_stream(topo, routers[*router_idx].1, &point_cfg, &stream)
     });
     items
         .into_iter()

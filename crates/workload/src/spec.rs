@@ -7,7 +7,7 @@
 //! so the run is a reproducible artifact. The CLI (`mcast run --spec`),
 //! the legacy flag-driven subcommands, and the bench figure drivers all
 //! construct specs and execute them through the same three entry
-//! points: [`ExperimentSpec::run_point`] (one `run_dynamic` call),
+//! points: [`ExperimentSpec::run_point`] (one dynamic run),
 //! [`ExperimentSpec::run_sweep`] (the parallel grid), and
 //! [`ExperimentSpec::run_fault_sweep`] (the degraded-network sweep).
 //!
@@ -21,7 +21,7 @@ use mcast_sim::routers::{ClassOverrideRouter, MulticastRouter};
 use mcast_sim::FaultMulticastRouter;
 
 use crate::dynamic::{
-    run_dynamic, run_dynamic_stream, DynamicConfig, DynamicResult, StreamConfig, TrafficPattern,
+    run_dynamic_stream, DynamicConfig, DynamicResult, StreamConfig, TrafficPattern,
 };
 use crate::fault_sweep::{run_fault_sweep, FaultSweepConfig, FaultSweepRow};
 use crate::parallel::{replication_seed, run_dynamic_sweep, SweepConfig, SweepRow};
@@ -141,48 +141,6 @@ impl Default for FaultSpec {
     }
 }
 
-/// The streaming section of a spec: run every point through the
-/// bounded-memory open-loop runner
-/// ([`run_dynamic_stream`], DESIGN.md §16) instead of the
-/// materializing one. Memory stays O(in-flight) regardless of how many
-/// messages the run injects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StreamSpec {
-    /// Stop after injecting this many multicasts per point (the
-    /// million-multicast axis). `None` keeps the spec's batch-means
-    /// stopping rule, making streaming a pure memory optimization.
-    pub messages: Option<u64>,
-    /// Stop once the generators' clock passes this simulated time (ns)
-    /// — the wall-of-simulated-time axis (`mcast run --duration-ms`).
-    /// Composes with `messages`: whichever bound trips first stops the
-    /// point. Zero is rejected by [`ExperimentSpec::validate`].
-    pub duration_ns: Option<u64>,
-    /// Backpressure ceiling on in-flight messages per point.
-    pub max_in_flight: usize,
-}
-
-impl Default for StreamSpec {
-    fn default() -> Self {
-        let d = StreamConfig::default();
-        StreamSpec {
-            messages: None,
-            duration_ns: None,
-            max_in_flight: d.max_in_flight,
-        }
-    }
-}
-
-impl StreamSpec {
-    /// Resolves to the runner-level [`StreamConfig`].
-    pub fn to_config(&self) -> StreamConfig {
-        StreamConfig {
-            messages: self.messages,
-            duration_ns: self.duration_ns,
-            max_in_flight: self.max_in_flight,
-        }
-    }
-}
-
 /// A declarative experiment: everything one sweep needs, as data.
 ///
 /// Seeds are serialized as JSON numbers, so they should stay below
@@ -218,8 +176,11 @@ pub struct ExperimentSpec {
     /// serial event loop; `N > 1` is bit-identical to serial, so this
     /// knob never changes results, only wall-clock.
     pub engine_jobs: usize,
-    /// Optional streaming section: bounded-memory open-loop runs.
-    pub stream: Option<StreamSpec>,
+    /// Optional streaming section: message, duration and in-flight
+    /// bounds for every point (DESIGN.md §16). `None` runs each point
+    /// unbounded ([`StreamConfig::UNBOUNDED`]), stopped by the stopping
+    /// rule or its saturation guard.
+    pub stream: Option<StreamConfig>,
     /// Optional fault sweep section.
     pub fault: Option<FaultSpec>,
 }
@@ -278,7 +239,7 @@ impl ExperimentSpec {
             base: self.base_config(),
             loads_ns: self.loads_us.iter().map(|&us| us * 1000.0).collect(),
             replications: self.replications,
-            stream: self.stream.map(|s| s.to_config()),
+            stream: self.stream,
         }
     }
 
@@ -354,8 +315,10 @@ impl ExperimentSpec {
         Ok(())
     }
 
-    /// Runs one (scheme, load, replication) cell through `run_dynamic`,
-    /// with the same derived seed the sweep grid would use for it.
+    /// Runs one (scheme, load, replication) cell through
+    /// [`run_dynamic_stream`] under the spec's stream bounds
+    /// ([`StreamConfig::UNBOUNDED`] without a stream section), with the
+    /// same derived seed the sweep grid would use for it.
     pub fn run_point(
         &self,
         scheme: &SchemeId,
@@ -384,12 +347,13 @@ impl ExperimentSpec {
         cfg.mean_interarrival_ns = load_us * 1000.0;
         cfg.seed = replication_seed(self.seed, index as u64);
         let built = self.topology.build();
-        Ok(match &self.stream {
-            Some(stream) => {
-                run_dynamic_stream(built.as_dyn(), router.as_ref(), &cfg, &stream.to_config())
-            }
-            None => run_dynamic(built.as_dyn(), router.as_ref(), &cfg),
-        })
+        let stream = self.stream.unwrap_or(StreamConfig::UNBOUNDED);
+        Ok(run_dynamic_stream(
+            built.as_dyn(),
+            router.as_ref(),
+            &cfg,
+            &stream,
+        ))
     }
 
     /// Runs the whole sweep grid on `jobs` threads. Rows come back in
@@ -500,7 +464,7 @@ impl ExperimentSpec {
             if let Some(d) = stream.duration_ns {
                 sf.push(("duration_ns".into(), Json::Num(d as f64)));
             }
-            if stream.max_in_flight != StreamSpec::default().max_in_flight {
+            if stream.max_in_flight != StreamConfig::default().max_in_flight {
                 sf.push(("max_in_flight".into(), Json::from(stream.max_in_flight)));
             }
             fields.push(("stream".into(), Json::Obj(sf)));
@@ -657,8 +621,8 @@ impl ExperimentSpec {
                         }
                     }
                 };
-                let default_stream = StreamSpec::default();
-                Some(StreamSpec {
+                let default_stream = StreamConfig::default();
+                Some(StreamConfig {
                     messages: positive_u64("messages")?,
                     duration_ns: positive_u64("duration_ns")?,
                     max_in_flight: usize_field(
@@ -774,7 +738,7 @@ mod tests {
         spec.validate().expect("stream example spec validates");
         let stream = spec.stream.as_ref().expect("spec has a stream section");
         assert!(stream.messages.expect("message bound set") >= 1_000_000);
-        assert_eq!(stream.max_in_flight, StreamSpec::default().max_in_flight);
+        assert_eq!(stream.max_in_flight, StreamConfig::default().max_in_flight);
         assert_eq!(spec.topology.to_string(), "mesh:64x64");
         assert_eq!(
             spec.to_json(),
@@ -870,7 +834,7 @@ mod tests {
         spec.pattern = PatternSpec::Hotspot;
         spec.channel_classes = Some(2);
         spec.vct_buffers = true;
-        spec.stream = Some(StreamSpec {
+        spec.stream = Some(StreamConfig {
             messages: Some(1_000_000),
             duration_ns: None,
             max_in_flight: 2048,
@@ -913,14 +877,14 @@ mod tests {
         // A default stream section serializes as the empty object and
         // round-trips byte-identically.
         let mut spec = sample();
-        spec.stream = Some(StreamSpec::default());
+        spec.stream = Some(StreamConfig::default());
         let text = spec.to_json();
         assert!(text.contains("\"stream\": {}"), "defaults elided: {text}");
         let back = ExperimentSpec::from_json(&text).unwrap();
         assert_eq!(back, spec);
         assert_eq!(back.to_json(), text);
         // Invalid values are rejected with readable errors.
-        spec.stream = Some(StreamSpec {
+        spec.stream = Some(StreamConfig {
             messages: Some(0),
             duration_ns: None,
             max_in_flight: 64,
@@ -933,7 +897,7 @@ mod tests {
         .is_err());
         // A message-bounded stream point injects exactly that many
         // multicasts and resolves them all.
-        spec.stream = Some(StreamSpec {
+        spec.stream = Some(StreamConfig {
             messages: Some(400),
             duration_ns: None,
             max_in_flight: 64,
@@ -953,7 +917,7 @@ mod tests {
         // to_json byte-identically, compose with a message bound, and
         // reject zero at both the validate and parse layers.
         let mut spec = sample();
-        spec.stream = Some(StreamSpec {
+        spec.stream = Some(StreamConfig {
             messages: Some(200),
             duration_ns: Some(5_000_000),
             max_in_flight: 64,
@@ -965,7 +929,7 @@ mod tests {
         assert_eq!(back, spec);
         assert_eq!(back.to_json(), text);
         // Zero is always a mistake: a zero-length run measures nothing.
-        spec.stream = Some(StreamSpec {
+        spec.stream = Some(StreamConfig {
             messages: None,
             duration_ns: Some(0),
             max_in_flight: 64,
@@ -979,7 +943,7 @@ mod tests {
         .is_err());
         // A duration-bounded point stops injecting at the wall and
         // drains: everything injected resolves.
-        spec.stream = Some(StreamSpec {
+        spec.stream = Some(StreamConfig {
             messages: None,
             duration_ns: Some(2_000_000),
             max_in_flight: 64,
@@ -1085,7 +1049,7 @@ mod tests {
             // New axes draw after every existing one so earlier cases
             // keep their historical shapes.
             if rng.gen_range(0..2u32) == 0 {
-                spec.stream = Some(StreamSpec {
+                spec.stream = Some(StreamConfig {
                     messages: if rng.gen_range(0..2u32) == 0 {
                         Some(rng.gen_range(1..1_000_000u64))
                     } else {

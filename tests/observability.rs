@@ -187,3 +187,40 @@ fn recording_sink_is_invisible_with_injected_faults() {
         .iter()
         .any(|e| matches!(e, mcast_obs::SimEvent::LinkFailed { .. })));
 }
+
+#[test]
+fn metrics_sink_is_invisible_on_a_streamed_dynamic_run() {
+    // A message-bound streamed run whose in-flight cap binds: the
+    // dynamic runner with a metrics sink reports the same result as
+    // the sink-less run, and the sink saw every injection and
+    // completion the runner counted.
+    let mesh = Mesh2D::new(8, 8);
+    let router = DualPathRouter::mesh(mesh);
+    let cfg = mcast_workload::DynamicConfig {
+        mean_interarrival_ns: 50_000.0,
+        destinations: 4,
+        warmup: 50,
+        batch_size: 20,
+        ..Default::default()
+    };
+    let stream = mcast_workload::StreamConfig {
+        messages: Some(1_500),
+        max_in_flight: 48,
+        ..Default::default()
+    };
+    let bare = mcast_workload::run_dynamic_stream(&mesh, &router, &cfg, &stream);
+    let met = Metrics::new();
+    let observed = mcast_workload::run_dynamic_with_sink(
+        &mesh,
+        &router,
+        &cfg,
+        &stream,
+        Some(Box::new(met.clone())),
+    );
+    assert_eq!(format!("{bare:?}"), format!("{observed:?}"));
+    assert_eq!(bare.completed, 1_500);
+    assert_eq!(bare.peak_in_flight, 48, "the cap binds");
+    let snap = met.snapshot();
+    assert_eq!(snap.injected, 1_500);
+    assert_eq!(snap.completed as usize, observed.completed);
+}
