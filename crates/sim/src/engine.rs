@@ -119,21 +119,178 @@ pub struct AbortedMessage {
     pub traffic: usize,
 }
 
-#[derive(Debug, Default)]
-pub(crate) struct ChanState {
-    pub(crate) owner: Option<(usize, usize)>,
-    pub(crate) queue: VecDeque<(usize, usize)>,
+/// "No entry" sentinel of the engine's `u32` node, edge and channel
+/// fields.
+pub(crate) const NONE: u32 = u32::MAX;
+
+/// `Some(x)` unless `x` is the [`NONE`] sentinel.
+#[inline]
+fn opt(x: u32) -> Option<usize> {
+    (x != NONE).then_some(x as usize)
 }
 
+/// One channel's row in a [`ChanTable`]: `(owner worm + 1, owner edge,
+/// waiter-queue handle + 1)`. All zero is an idle channel with no
+/// waiters, so a fresh table is one zeroed allocation.
+type ChanSlot = (u32, u32, u32);
+
+/// Per-channel engine state in bytes: the table row plus the busy-time
+/// counter (DESIGN.md §10.2).
+const CHANNEL_BYTES: usize = size_of::<ChanSlot>() + size_of::<Time>();
+const _: () = assert!(CHANNEL_BYTES <= 40);
+
+/// Channel ownership and FIFO waiter queues (DESIGN.md §10.2). The
+/// per-channel part is one dense `u32` row; waiter queues live in a
+/// pool indexed by handle and exist only while a channel has waiters,
+/// so queue memory follows the blocked requests, not the channel count.
+/// A drained queue keeps its buffer in the pool for the next channel
+/// that blocks.
+///
+/// The serial engine indexes its table by channel id; a window-parallel
+/// lane (`partition.rs`) holds a table of its checked-out channels
+/// indexed by position, and [`ChanTable::move_to`] carries a channel's
+/// owner and waiters between the two.
+#[derive(Debug, Default)]
+pub(crate) struct ChanTable {
+    slots: Vec<ChanSlot>,
+    queues: Vec<VecDeque<(u32, u32)>>,
+    /// Handles of empty pooled queues.
+    free: Vec<u32>,
+}
+
+impl ChanTable {
+    /// A table of `n` idle channels.
+    pub(crate) fn new(n: usize) -> Self {
+        ChanTable {
+            slots: vec![(0, 0, 0); n],
+            ..ChanTable::default()
+        }
+    }
+
+    /// Appends an idle row (lane checkout); returns its index.
+    pub(crate) fn push_idle(&mut self) -> usize {
+        self.slots.push((0, 0, 0));
+        self.slots.len() - 1
+    }
+
+    /// Drops every row, keeping the queue pool. Callers first move any
+    /// waiters out, so every pooled queue is free again.
+    pub(crate) fn clear(&mut self) {
+        debug_assert_eq!(self.free.len(), self.queues.len(), "waiters left behind");
+        self.slots.clear();
+    }
+
+    /// The `(worm, edge)` owning channel row `i`, if any.
+    #[inline]
+    pub(crate) fn owner(&self, i: usize) -> Option<(usize, usize)> {
+        let (w, e, _) = self.slots[i];
+        (w != 0).then(|| (w as usize - 1, e as usize))
+    }
+
+    #[inline]
+    pub(crate) fn set_owner(&mut self, i: usize, owner: Option<(usize, usize)>) {
+        let (w, e) = owner.map_or((0, 0), |(w, e)| (w as u32 + 1, e as u32));
+        self.slots[i].0 = w;
+        self.slots[i].1 = e;
+    }
+
+    /// Waiters queued on row `i`.
+    #[inline]
+    pub(crate) fn queue_len(&self, i: usize) -> usize {
+        match self.slots[i].2 {
+            0 => 0,
+            q => self.queues[q as usize - 1].len(),
+        }
+    }
+
+    /// The waiters on row `i`, in FIFO order.
+    pub(crate) fn waiters(&self, i: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let q = match self.slots[i].2 {
+            0 => None,
+            q => Some(&self.queues[q as usize - 1]),
+        };
+        q.into_iter()
+            .flatten()
+            .map(|&(w, e)| (w as usize, e as usize))
+    }
+
+    /// Appends a waiter to row `i`'s queue, taking a pooled queue if the
+    /// row has none.
+    pub(crate) fn enqueue(&mut self, i: usize, w: usize, e: usize) {
+        if self.slots[i].2 == 0 {
+            self.slots[i].2 = self.alloc_queue() + 1;
+        }
+        let q = self.slots[i].2 as usize - 1;
+        self.queues[q].push_back((w as u32, e as u32));
+    }
+
+    /// Pops row `i`'s oldest waiter; an emptied queue returns to the pool.
+    pub(crate) fn dequeue(&mut self, i: usize) -> Option<(usize, usize)> {
+        let q = self.slots[i].2.checked_sub(1)?;
+        let (w, e) = self.queues[q as usize]
+            .pop_front()
+            .expect("pooled queues are never empty while held");
+        self.release_if_empty(i);
+        Some((w as usize, e as usize))
+    }
+
+    /// Scrubs one waiter from row `i`'s queue (message abort).
+    pub(crate) fn remove_waiter(&mut self, i: usize, w: usize, e: usize) {
+        if let Some(q) = self.slots[i].2.checked_sub(1) {
+            let key = (w as u32, e as u32);
+            self.queues[q as usize].retain(|&x| x != key);
+            self.release_if_empty(i);
+        }
+    }
+
+    /// Moves row `i`'s owner and waiters into row `j` of `dst` (which
+    /// must be idle with no waiters), leaving row `i` idle. The queue's
+    /// buffer trades places with a free one of `dst`'s pool, so neither
+    /// pool allocates once both have warmed up.
+    pub(crate) fn move_to(&mut self, i: usize, dst: &mut ChanTable, j: usize) {
+        debug_assert_eq!(dst.slots[j], (0, 0, 0), "moving onto a live row");
+        let (w, e, q) = std::mem::take(&mut self.slots[i]);
+        let q = match q.checked_sub(1) {
+            None => 0,
+            Some(q) => {
+                let h = dst.alloc_queue();
+                std::mem::swap(&mut self.queues[q as usize], &mut dst.queues[h as usize]);
+                self.free.push(q);
+                h + 1
+            }
+        };
+        dst.slots[j] = (w, e, q);
+    }
+
+    fn alloc_queue(&mut self) -> u32 {
+        self.free.pop().unwrap_or_else(|| {
+            self.queues.push(VecDeque::new());
+            (self.queues.len() - 1) as u32
+        })
+    }
+
+    fn release_if_empty(&mut self, i: usize) {
+        let q = self.slots[i].2 - 1;
+        if self.queues[q as usize].is_empty() {
+            self.free.push(q);
+            self.slots[i].2 = 0;
+        }
+    }
+}
+
+/// Edge flag bits.
+const BUSY: u8 = 1;
+const DONE: u8 = 2;
+
 /// One edge of a worm. Flat (no per-edge heap allocation): child and
-/// group membership live in per-worm index arenas.
+/// group membership live in per-worm index arenas. Node, edge and
+/// channel ids are `u32` with [`NONE`] for "none" (DESIGN.md §10.2).
 #[derive(Debug, Clone)]
 pub(crate) struct EdgeState {
-    pub(crate) from: NodeId,
-    pub(crate) to: NodeId,
-    pub(crate) class: ClassChoice,
-    /// Edge feeding this one (`None` = fed directly by the source).
-    pub(crate) upstream: Option<u32>,
+    pub(crate) from: u32,
+    pub(crate) to: u32,
+    /// Edge feeding this one (`NONE` = fed directly by the source).
+    pub(crate) upstream: u32,
     /// Start of this edge's slice of the worm's `children` arena.
     pub(crate) child_start: u32,
     /// Number of edges fed by this edge's head node.
@@ -143,25 +300,82 @@ pub(crate) struct EdgeState {
     /// First candidate channel id for this hop, resolved at worm-build
     /// time (class copies of a link have consecutive ids). The cascade
     /// never consults the network topology after build.
-    pub(crate) cand_base: ChannelId,
-    /// Number of candidate class copies (1 for `ClassChoice::Fixed`).
-    pub(crate) cand_count: u32,
+    pub(crate) cand_base: u32,
     /// Class-independent link id (`link_base` of the hop) — the
     /// conflict-clustering key for window-parallel execution.
-    pub(crate) link_key: ChannelId,
-    /// Channel granted to this edge.
-    pub(crate) channel: Option<ChannelId>,
-    /// Whether a channel request is pending in some queue.
-    pub(crate) waiting: bool,
-    /// The channel whose queue holds this edge's pending request —
-    /// `Some` exactly while `waiting` (stuck diagnostics + abort scrub).
-    pub(crate) queued_on: Option<ChannelId>,
+    pub(crate) link_key: u32,
+    /// Channel granted to this edge (`NONE` = none).
+    pub(crate) channel: u32,
+    /// The channel whose queue holds this edge's pending request
+    /// (`NONE` = not waiting; stuck diagnostics + abort scrub).
+    pub(crate) queued_on: u32,
     /// Flits that have fully crossed this edge.
     pub(crate) crossed: u32,
-    /// Transfer in progress.
-    pub(crate) busy: bool,
-    /// Tail has crossed and the channel was released.
-    pub(crate) done: bool,
+    pub(crate) class: ClassChoice,
+    /// Number of candidate class copies (1 for `ClassChoice::Fixed`).
+    pub(crate) cand_count: u8,
+    /// [`BUSY`] (transfer in progress) and [`DONE`] (tail crossed and
+    /// the channel was released).
+    flags: u8,
+}
+
+const _: () = assert!(size_of::<EdgeState>() <= 56);
+
+impl EdgeState {
+    /// A fresh, unresolved edge; `build_worm` fills in the rest.
+    fn new(from: NodeId, to: NodeId, class: ClassChoice, upstream: u32) -> Self {
+        EdgeState {
+            from: from as u32,
+            to: to as u32,
+            upstream,
+            child_start: 0,
+            child_count: 0,
+            group: NONE,
+            cand_base: 0,
+            link_key: 0,
+            channel: NONE,
+            queued_on: NONE,
+            crossed: 0,
+            class,
+            cand_count: 0,
+            flags: 0,
+        }
+    }
+
+    #[inline]
+    pub(crate) fn upstream(&self) -> Option<usize> {
+        opt(self.upstream)
+    }
+
+    #[inline]
+    pub(crate) fn channel(&self) -> Option<ChannelId> {
+        opt(self.channel)
+    }
+
+    /// Whether a channel request is pending in some queue.
+    #[inline]
+    pub(crate) fn waiting(&self) -> bool {
+        self.queued_on != NONE
+    }
+
+    #[inline]
+    pub(crate) fn busy(&self) -> bool {
+        self.flags & BUSY != 0
+    }
+
+    #[inline]
+    pub(crate) fn done(&self) -> bool {
+        self.flags & DONE != 0
+    }
+
+    #[inline]
+    fn set_flag(&mut self, flag: u8, on: bool) {
+        if on {
+            self.flags |= flag;
+        } else {
+            self.flags &= !flag;
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -299,6 +513,8 @@ pub(crate) enum Event {
     },
 }
 
+const _: () = assert!(size_of::<Event>() == 16);
+
 /// A cooperative execution budget shared by every engine a job drives
 /// (DESIGN.md §13). The budget is `Arc`-backed so a sweep spanning many
 /// engine instances charges one shared step account, and so a
@@ -396,7 +612,8 @@ impl RunBudget {
 pub struct Engine {
     config: SimConfig,
     pub(crate) network: Network,
-    pub(crate) channels: Vec<ChanState>,
+    /// Channel owners and waiter queues, by channel id.
+    pub(crate) chans: ChanTable,
     pub(crate) worms: Vec<WormState>,
     pub(crate) worm_free: Vec<usize>,
     pub(crate) messages: Vec<Option<MessageState>>,
@@ -478,9 +695,6 @@ impl Engine {
     /// Creates an engine over a network with the given physical
     /// parameters.
     pub fn new(network: Network, config: SimConfig) -> Self {
-        let channels = (0..network.num_channels())
-            .map(|_| ChanState::default())
-            .collect();
         Engine {
             flit_time: config.flit_time_ns(),
             flits: config.flits_per_message(),
@@ -495,8 +709,8 @@ impl Engine {
             scratch_idx: Vec::new(),
             scratch_slots: Vec::new(),
             config,
+            chans: ChanTable::new(network.num_channels()),
             network,
-            channels,
             worms: Vec::new(),
             worm_free: Vec::new(),
             messages: Vec::new(),
@@ -840,7 +1054,7 @@ impl Engine {
                     // touch the upstream topology of other edges, so a
                     // plain forward scan needs no collected list.
                     for e in 0..self.worms[widx].edges.len() {
-                        if self.worms[widx].edges[e].upstream.is_none() {
+                        if self.worms[widx].edges[e].upstream == NONE {
                             request_channel(self, widx, e);
                         }
                     }
@@ -852,12 +1066,21 @@ impl Engine {
     }
 
     fn build_worm(&mut self, message: MessageId, plan: &PlanWorm) -> usize {
+        // Last line of defence behind `inject_checked`'s typed error.
+        assert!(
+            plan.num_edges() <= MAX_WORM_EDGES,
+            "worm edges exhaust u32 edge ids"
+        );
         // Fill a free slot in place: its vec capacities survive reuse and
         // its incarnation counter carries forward, so events scheduled
         // for the previous (aborted) occupant stay stale.
         let slot = match self.worm_free.pop() {
             Some(slot) => slot,
             None => {
+                assert!(
+                    self.worms.len() < NONE as usize,
+                    "worm slots exhaust u32 ids"
+                );
                 self.worms.push(WormState::vacant());
                 self.worms.len() - 1
             }
@@ -899,23 +1122,12 @@ impl Engine {
                     if has_child {
                         w.children.push(i as u32 + 1);
                     }
+                    let upstream = if i == 0 { NONE } else { i as u32 - 1 };
                     w.edges.push(EdgeState {
-                        from: win[0],
-                        to: win[1],
-                        class: p.class,
-                        upstream: if i == 0 { None } else { Some(i as u32 - 1) },
                         child_start: i as u32,
                         child_count: u32::from(has_child),
                         group: i as u32, // every path edge is its own group
-                        cand_base: 0,    // resolved below
-                        cand_count: 0,
-                        link_key: 0,
-                        channel: None,
-                        waiting: false,
-                        queued_on: None,
-                        crossed: 0,
-                        busy: false,
-                        done: false,
+                        ..EdgeState::new(win[0], win[1], p.class, upstream)
                     });
                 }
             }
@@ -924,35 +1136,20 @@ impl Engine {
                 // `scratch_feeder[node]` = edge that feeds `node`.
                 for (i, &(from, to, class)) in t.edges.iter().enumerate() {
                     let upstream = if from == t.root {
-                        None
+                        NONE
                     } else {
                         let f = scratch_feeder[from];
                         assert!(f != u32::MAX, "tree edge {from}->{to} has no feeder");
-                        Some(f)
+                        f
                     };
                     assert!(
                         scratch_feeder[to] == u32::MAX,
                         "tree plan visits node {to} twice"
                     );
                     scratch_feeder[to] = i as u32;
-                    w.edges.push(EdgeState {
-                        from,
-                        to,
-                        class,
-                        upstream,
-                        child_start: 0, // carved below
-                        child_count: 0,
-                        group: u32::MAX, // assigned below
-                        cand_base: 0,    // resolved below
-                        cand_count: 0,
-                        link_key: 0,
-                        channel: None,
-                        waiting: false,
-                        queued_on: None,
-                        crossed: 0,
-                        busy: false,
-                        done: false,
-                    });
+                    // Child range carved, group assigned and candidates
+                    // resolved below.
+                    w.edges.push(EdgeState::new(from, to, class, upstream));
                 }
                 for &(_, to, _) in &t.edges {
                     scratch_feeder[to] = u32::MAX;
@@ -961,8 +1158,8 @@ impl Engine {
                 // prefix-sum, then fill (ascending edge index, the same
                 // order the old per-edge vecs were pushed in).
                 for i in 0..w.edges.len() {
-                    if let Some(u) = w.edges[i].upstream {
-                        w.edges[u as usize].child_count += 1;
+                    if let Some(u) = w.edges[i].upstream() {
+                        w.edges[u].child_count += 1;
                     }
                 }
                 let mut start = 0u32;
@@ -974,10 +1171,10 @@ impl Engine {
                 scratch_idx.clear();
                 scratch_idx.extend(w.edges.iter().map(|e| e.child_start));
                 for i in 0..w.edges.len() {
-                    if let Some(u) = w.edges[i].upstream {
-                        let c = scratch_idx[u as usize];
+                    if let Some(u) = w.edges[i].upstream() {
+                        let c = scratch_idx[u];
                         w.children[c as usize] = i as u32;
-                        scratch_idx[u as usize] = c + 1;
+                        scratch_idx[u] = c + 1;
                     }
                 }
             }
@@ -1016,10 +1213,7 @@ impl Engine {
                 scratch_idx.clear();
                 scratch_idx.resize(w.edges.len() + 1, u32::MAX);
                 for i in 0..w.edges.len() {
-                    let key = match w.edges[i].upstream {
-                        None => 0,
-                        Some(u) => u as usize + 1,
-                    };
+                    let key = w.edges[i].upstream().map_or(0, |u| u + 1);
                     let g = if scratch_idx[key] == u32::MAX {
                         w.groups.push(GroupState {
                             start: 0,
@@ -1067,7 +1261,7 @@ impl Engine {
         for i in 0..self.worms[slot].edges.len() {
             let (from, to, class) = {
                 let es = &self.worms[slot].edges[i];
-                (es.from, es.to, es.class)
+                (es.from as NodeId, es.to as NodeId, es.class)
             };
             let link_key = self
                 .network
@@ -1086,12 +1280,13 @@ impl Engine {
                         .unwrap_or_else(|| panic!("channel {from}->{to} class {c} not in network"));
                     (id, 1)
                 }
-                ClassChoice::Any => (link_key, self.network.classes() as u32),
+                ClassChoice::Any => (link_key, self.network.classes()),
             };
+            // Ids fit `u32`: `Network::new` bounds the channel count.
             let es = &mut self.worms[slot].edges[i];
-            es.cand_base = base;
+            es.cand_base = base as u32;
             es.cand_count = count;
-            es.link_key = link_key;
+            es.link_key = link_key as u32;
         }
         slot
     }
@@ -1172,8 +1367,8 @@ impl Engine {
                 continue;
             }
             for e in &w.edges {
-                if e.waiting {
-                    out.push((w.message, e.from, e.to));
+                if e.waiting() {
+                    out.push((w.message, e.from as NodeId, e.to as NodeId));
                 }
             }
         }
@@ -1191,8 +1386,8 @@ impl Engine {
             let held: Vec<ChannelId> = w
                 .edges
                 .iter()
-                .filter(|e| !e.done)
-                .filter_map(|e| e.channel)
+                .filter(|e| !e.done())
+                .filter_map(EdgeState::channel)
                 .collect();
             out.push((w.message, held));
         }
@@ -1209,12 +1404,7 @@ impl Engine {
             if !w.active {
                 continue;
             }
-            let awaited: Vec<ChannelId> = w
-                .edges
-                .iter()
-                .filter(|e| e.waiting)
-                .filter_map(|e| e.queued_on)
-                .collect();
+            let awaited: Vec<ChannelId> = w.edges.iter().filter_map(|e| opt(e.queued_on)).collect();
             out.push((w.message, awaited));
         }
         out
@@ -1285,6 +1475,7 @@ impl Engine {
     /// [`SimError`] instead of a panic deep in the event loop.
     pub fn inject_checked(&mut self, plan: &DeliveryPlan) -> Result<MessageId, SimError> {
         for (i, w) in plan.worms.iter().enumerate() {
+            check_worm_edges(i, w.num_edges())?;
             match w {
                 PlanWorm::Path(p) | PlanWorm::Circuit(p) => {
                     if p.nodes.len() < 2 {
@@ -1367,18 +1558,18 @@ impl Engine {
         let mut affected: BTreeSet<MessageId> = BTreeSet::new();
         for &chan in died {
             // The owning worm is physically severed.
-            if let Some((w, _)) = self.channels[chan].owner {
+            if let Some((w, _)) = self.chans.owner(chan) {
                 if self.worms[w].active {
                     affected.insert(self.worms[w].message);
                 }
             }
             // Queued waiters re-request: a surviving class copy absorbs
             // them, otherwise they stall and are reported broken too.
-            let waiters: Vec<(usize, usize)> = self.channels[chan].queue.drain(..).collect();
+            let waiters: Vec<(usize, usize)> =
+                std::iter::from_fn(|| self.chans.dequeue(chan)).collect();
             for (w, e) in waiters {
-                if self.worms[w].active && self.worms[w].edges[e].waiting {
-                    self.worms[w].edges[e].waiting = false;
-                    self.worms[w].edges[e].queued_on = None;
+                if self.worms[w].active && self.worms[w].edges[e].waiting() {
+                    self.worms[w].edges[e].queued_on = NONE;
                     request_channel(self, w, e);
                     if self.worms[w].stalled {
                         affected.insert(self.worms[w].message);
@@ -1405,14 +1596,14 @@ impl Engine {
             // dropped on pop, even after this slot is reused.
             self.worms[w].gen = self.worms[w].gen.wrapping_add(1);
             for e in 0..self.worms[w].edges.len() {
-                if let Some(c) = self.worms[w].edges[e].queued_on.take() {
-                    self.channels[c]
-                        .queue
-                        .retain(|&(qw, qe)| !(qw == w && qe == e));
+                let es = &mut self.worms[w].edges[e];
+                let queued_on = std::mem::replace(&mut es.queued_on, NONE);
+                let channel = std::mem::replace(&mut es.channel, NONE);
+                es.set_flag(BUSY, false);
+                if let Some(c) = opt(queued_on) {
+                    self.chans.remove_waiter(c, w, e);
                 }
-                self.worms[w].edges[e].waiting = false;
-                self.worms[w].edges[e].busy = false;
-                if let Some(chan) = self.worms[w].edges[e].channel.take() {
+                if let Some(chan) = opt(channel) {
                     release(self, chan);
                 }
             }
@@ -1469,6 +1660,18 @@ impl Engine {
     }
 }
 
+/// Most edges one worm may have: edge ids are `u32`, with `u32::MAX`
+/// reserved as the [`NONE`] sentinel.
+const MAX_WORM_EDGES: usize = NONE as usize - 1;
+
+/// Rejects plan worm `worm` if its `edges` cannot all take `u32` ids.
+fn check_worm_edges(worm: usize, edges: usize) -> Result<(), SimError> {
+    if edges > MAX_WORM_EDGES {
+        return Err(SimError::WormTooLong { worm, edges });
+    }
+    Ok(())
+}
+
 /// The physical timing constants the event cascade needs, detached
 /// from the engine so window-parallel component execution
 /// (`partition.rs`) can run the same cascade against checked-out state.
@@ -1496,8 +1699,14 @@ pub(crate) trait ExecCtx {
     fn env(&self) -> SimEnv;
     fn worm(&mut self, w: usize) -> &mut WormState;
     fn worm_ref(&self, w: usize) -> &WormState;
-    fn chan(&mut self, c: ChannelId) -> &mut ChanState;
-    fn chan_ref(&self, c: ChannelId) -> &ChanState;
+    /// The table holding channel `c`, and `c`'s row in it.
+    fn chans(&mut self, c: ChannelId) -> (&mut ChanTable, usize);
+    fn chans_ref(&self, c: ChannelId) -> (&ChanTable, usize);
+    /// The `(worm, edge)` owning channel `c`, if any.
+    fn chan_owner(&self, c: ChannelId) -> Option<(usize, usize)> {
+        let (table, i) = self.chans_ref(c);
+        table.owner(i)
+    }
     /// Channel liveness. Fault state is frozen for the duration of a
     /// window — faults are injected between run calls, never mid-event
     /// — so the parallel executor snapshots it per component.
@@ -1563,12 +1772,12 @@ impl ExecCtx for Engine {
         &self.worms[w]
     }
     #[inline]
-    fn chan(&mut self, c: ChannelId) -> &mut ChanState {
-        &mut self.channels[c]
+    fn chans(&mut self, c: ChannelId) -> (&mut ChanTable, usize) {
+        (&mut self.chans, c)
     }
     #[inline]
-    fn chan_ref(&self, c: ChannelId) -> &ChanState {
-        &self.channels[c]
+    fn chans_ref(&self, c: ChannelId) -> (&ChanTable, usize) {
+        (&self.chans, c)
     }
     #[inline]
     fn chan_alive(&self, c: ChannelId) -> bool {
@@ -1647,8 +1856,8 @@ pub(crate) fn exec_event<C: ExecCtx>(cx: &mut C, ev: Event) {
             let wst = cx.worm_ref(worm);
             if wst.gen == gen
                 && wst.active
-                && wst.edges[edge].channel.is_none()
-                && !wst.edges[edge].waiting
+                && wst.edges[edge].channel == NONE
+                && !wst.edges[edge].waiting()
             {
                 request_channel(cx, worm, edge);
             }
@@ -1664,7 +1873,7 @@ pub(crate) fn exec_event<C: ExecCtx>(cx: &mut C, ev: Event) {
 pub(crate) fn request_channel<C: ExecCtx>(cx: &mut C, w: usize, e: usize) {
     let (base, count) = {
         let es = &cx.worm_ref(w).edges[e];
-        if es.channel.is_some() || es.waiting || es.done {
+        if es.channel != NONE || es.waiting() || es.done() {
             // Idempotence: circuit establishment and header arrival can
             // both ask for the same edge; a second request must not
             // enqueue a duplicate (a stale duplicate would re-grant an
@@ -1672,7 +1881,7 @@ pub(crate) fn request_channel<C: ExecCtx>(cx: &mut C, w: usize, e: usize) {
             // it forever).
             return;
         }
-        (es.cand_base, es.cand_count as usize)
+        (es.cand_base as usize, es.cand_count as usize)
     };
     // Dead channels are never granted and never queued on. Grant the
     // first live idle copy; otherwise remember the least-loaded live
@@ -1683,11 +1892,12 @@ pub(crate) fn request_channel<C: ExecCtx>(cx: &mut C, w: usize, e: usize) {
         if !cx.chan_alive(chan) {
             continue;
         }
-        if cx.chan_ref(chan).owner.is_none() {
+        if cx.chan_owner(chan).is_none() {
             grant(cx, chan, w, e);
             return;
         }
-        let qlen = cx.chan_ref(chan).queue.len();
+        let (table, i) = cx.chans_ref(chan);
+        let qlen = table.queue_len(i);
         if best.is_none_or(|(len, _)| qlen < len) {
             best = Some((qlen, chan));
         }
@@ -1704,12 +1914,9 @@ pub(crate) fn request_channel<C: ExecCtx>(cx: &mut C, w: usize, e: usize) {
         cx.emit_ev(SimEvent::WormStalled { at, message });
         return;
     };
-    cx.chan(target).queue.push_back((w, e));
-    {
-        let es = &mut cx.worm(w).edges[e];
-        es.waiting = true;
-        es.queued_on = Some(target);
-    }
+    let (table, i) = cx.chans(target);
+    table.enqueue(i, w, e);
+    cx.worm(w).edges[e].queued_on = target as u32;
     if cx.sink_on() {
         let at = cx.now();
         let slot = cx.worm_ref(w).message;
@@ -1731,11 +1938,12 @@ fn grant<C: ExecCtx>(cx: &mut C, chan: ChannelId, w: usize, e: usize) {
         );
     }
     assert!(
-        cx.chan_ref(chan).owner.is_none(),
+        cx.chan_owner(chan).is_none(),
         "double grant of channel {chan}"
     );
     debug_assert!(cx.chan_alive(chan), "granting a dead channel");
-    cx.chan(chan).owner = Some((w, e));
+    let (table, i) = cx.chans(chan);
+    table.set_owner(i, Some((w, e)));
     if cx.sink_on() {
         let at = cx.now();
         let slot = cx.worm_ref(w).message;
@@ -1749,9 +1957,8 @@ fn grant<C: ExecCtx>(cx: &mut C, chan: ChannelId, w: usize, e: usize) {
     let g = cx.worm_ref(w).edges[e].group as usize;
     {
         let wst = cx.worm(w);
-        wst.edges[e].channel = Some(chan);
-        wst.edges[e].waiting = false;
-        wst.edges[e].queued_on = None;
+        wst.edges[e].channel = chan as u32;
+        wst.edges[e].queued_on = NONE;
         wst.groups[g].owned += 1;
     }
     if cx.worm_ref(w).kind == WormKind::Circuit {
@@ -1783,15 +1990,12 @@ fn grant<C: ExecCtx>(cx: &mut C, chan: ChannelId, w: usize, e: usize) {
 }
 
 fn release<C: ExecCtx>(cx: &mut C, chan: ChannelId) {
+    let owner = cx.chan_owner(chan);
     if cx.trace_on(chan) {
-        eprintln!(
-            "t={} RELEASE chan {chan} (owner {:?})",
-            cx.now(),
-            cx.chan_ref(chan).owner
-        );
+        eprintln!("t={} RELEASE chan {chan} (owner {owner:?})", cx.now());
     }
     if cx.sink_on() {
-        if let Some((w, _)) = cx.chan_ref(chan).owner {
+        if let Some((w, _)) = owner {
             let at = cx.now();
             let slot = cx.worm_ref(w).message;
             let message = cx.msg_id(slot);
@@ -1802,31 +2006,29 @@ fn release<C: ExecCtx>(cx: &mut C, chan: ChannelId) {
             });
         }
     }
-    cx.chan(chan).owner = None;
+    let (table, i) = cx.chans(chan);
+    table.set_owner(i, None);
     if !cx.chan_alive(chan) {
         // A channel that died while owned grants nobody once the
         // owner lets go: re-route its queued waiters — they may have
         // a surviving Any-class copy, or they stall for recovery.
-        let waiters: Vec<(usize, usize)> = cx.chan(chan).queue.drain(..).collect();
+        let (table, i) = cx.chans(chan);
+        let waiters: Vec<(usize, usize)> = std::iter::from_fn(|| table.dequeue(i)).collect();
         for (w, e) in waiters {
-            if cx.worm_ref(w).active && cx.worm_ref(w).edges[e].waiting {
-                {
-                    let es = &mut cx.worm(w).edges[e];
-                    es.waiting = false;
-                    es.queued_on = None;
-                }
-                request_channel(cx, w, e);
-            }
+            debug_assert!(cx.worm_ref(w).active && cx.worm_ref(w).edges[e].waiting());
+            cx.worm(w).edges[e].queued_on = NONE;
+            request_channel(cx, w, e);
         }
         return;
     }
-    while let Some((w, e)) = cx.chan(chan).queue.pop_front() {
-        // Stale entries can linger if a worm was granted a different
-        // copy; skip anything no longer waiting.
-        if cx.worm_ref(w).active && cx.worm_ref(w).edges[e].waiting {
-            grant(cx, chan, w, e);
-            return;
-        }
+    // Queues hold no stale entries: a waiter leaves its queue exactly
+    // when it stops waiting (granted here, scrubbed by an abort, or
+    // drained off a dead channel), and a worm cannot finish while
+    // one of its edges waits.
+    let (table, i) = cx.chans(chan);
+    if let Some((w, e)) = table.dequeue(i) {
+        debug_assert!(cx.worm_ref(w).active && cx.worm_ref(w).edges[e].waiting());
+        grant(cx, chan, w, e);
     }
 }
 
@@ -1842,9 +2044,9 @@ fn try_start<C: ExecCtx>(cx: &mut C, w: usize, e: usize) {
         return;
     }
     let es = &wst.edges[e];
-    let Some(chan) = es.channel else { return };
-    if es.busy || es.done {
-        return;
+    let Some(chan) = es.channel() else { return };
+    if es.flags != 0 {
+        return; // busy or done
     }
     let flit = es.crossed;
     if flit >= env.flits {
@@ -1854,10 +2056,10 @@ fn try_start<C: ExecCtx>(cx: &mut C, w: usize, e: usize) {
     if grp.owned < grp.members {
         return; // lock-step: the branch group is not fully owned yet
     }
-    let upstream = es.upstream;
+    let upstream = es.upstream();
     // Upstream flit availability.
     if let Some(u) = upstream {
-        if wst.edges[u as usize].crossed <= flit {
+        if wst.edges[u].crossed <= flit {
             return;
         }
     } else if wst.kind == WormKind::Tree {
@@ -1870,7 +2072,7 @@ fn try_start<C: ExecCtx>(cx: &mut C, w: usize, e: usize) {
         let mut min_taken = u32::MAX;
         for k in grp.start..grp.start + grp.members {
             let s = &wst.edges[wst.group_members[k as usize] as usize];
-            min_taken = min_taken.min(s.crossed + u32::from(s.busy));
+            min_taken = min_taken.min(s.crossed + u32::from(s.busy()));
         }
         if flit >= min_taken + env.buffer_flits {
             return;
@@ -1885,7 +2087,7 @@ fn try_start<C: ExecCtx>(cx: &mut C, w: usize, e: usize) {
         let mut outflow = u32::MAX;
         for k in es.child_start..es.child_start + es.child_count {
             let ch = &wst.edges[wst.children[k as usize] as usize];
-            outflow = outflow.min(ch.crossed + u32::from(ch.busy));
+            outflow = outflow.min(ch.crossed + u32::from(ch.busy()));
         }
         if es.crossed - outflow.min(es.crossed) >= env.buffer_flits {
             return;
@@ -1896,7 +2098,7 @@ fn try_start<C: ExecCtx>(cx: &mut C, w: usize, e: usize) {
     let message = wst.message;
     // Start the transfer.
     let dt = env.flit_time + if flit == 0 { env.routing_delay_ns } else { 0 };
-    cx.worm(w).edges[e].busy = true;
+    cx.worm(w).edges[e].set_flag(BUSY, true);
     cx.add_busy(chan, dt);
     cx.count_flit_hop();
     if cx.sink_on() {
@@ -1921,7 +2123,7 @@ fn try_start<C: ExecCtx>(cx: &mut C, w: usize, e: usize) {
     // Starting frees a buffer slot upstream (flow-control credit at
     // transfer start): retry the feeder, or the root-group siblings.
     if let Some(u) = upstream {
-        try_start(cx, w, u as usize);
+        try_start(cx, w, u);
     } else if kind == WormKind::Tree {
         try_start_siblings(cx, w, e);
     }
@@ -1949,11 +2151,11 @@ fn on_transfer_complete<C: ExecCtx>(cx: &mut C, w: usize, e: usize) {
         let wst = cx.worm(w);
         let kind = wst.kind;
         let es = &mut wst.edges[e];
-        es.busy = false;
+        es.set_flag(BUSY, false);
         es.crossed += 1;
         (
             es.crossed,
-            es.upstream,
+            es.upstream(),
             es.child_start,
             es.child_count,
             kind,
@@ -1971,15 +2173,13 @@ fn on_transfer_complete<C: ExecCtx>(cx: &mut C, w: usize, e: usize) {
     }
     if crossed == cx.env().flits {
         // Tail crossed: release the channel, record delivery.
-        let chan = cx.worm(w).edges[e]
-            .channel
-            .take()
-            .expect("owned while crossing");
-        cx.worm(w).edges[e].done = true;
+        let es = &mut cx.worm(w).edges[e];
+        let chan = opt(std::mem::replace(&mut es.channel, NONE)).expect("owned while crossing");
+        es.set_flag(DONE, true);
         release(cx, chan);
         let (head, msg_id) = {
             let wst = cx.worm_ref(w);
-            (wst.edges[e].to, wst.message)
+            (wst.edges[e].to as NodeId, wst.message)
         };
         record_delivery(cx, msg_id, head);
         cx.worm(w).edges_done += 1;
@@ -2032,7 +2232,7 @@ fn on_transfer_complete<C: ExecCtx>(cx: &mut C, w: usize, e: usize) {
     // edges — the group siblings sharing the injection buffer.
     try_start(cx, w, e);
     if let Some(u) = upstream {
-        try_start(cx, w, u as usize);
+        try_start(cx, w, u);
     } else if kind == WormKind::Tree {
         try_start_siblings(cx, w, e);
     }
@@ -2104,8 +2304,8 @@ fn finish_message<C: ExecCtx>(cx: &mut C, msg: MessageId) {
 impl Engine {
     /// Debug: the (message, edge) currently owning a channel, if any.
     pub fn debug_owner(&self, chan: ChannelId) -> Option<(MessageId, usize)> {
-        self.channels[chan]
-            .owner
+        self.chans
+            .owner(chan)
             .map(|(w, e)| (self.worms[w].message, e))
     }
 }
@@ -2113,8 +2313,8 @@ impl Engine {
 impl Engine {
     /// Debug: raw owner slot info for a channel: (worm slot, edge, message, active).
     pub fn debug_owner_full(&self, chan: ChannelId) -> Option<(usize, usize, MessageId, bool)> {
-        self.channels[chan]
-            .owner
+        self.chans
+            .owner(chan)
             .map(|(w, e)| (w, e, self.worms[w].message, self.worms[w].active))
     }
 }
@@ -2654,6 +2854,63 @@ mod tests {
         );
         assert_eq!(e.in_flight(), 0, "rejected plans leave nothing behind");
         assert!(e.run_to_quiescence());
+    }
+
+    /// Edge ids are `u32` with `u32::MAX` reserved, so `u32::MAX - 1`
+    /// edges is the longest worm accepted (closed-form counts: no plan
+    /// that size is built).
+    #[test]
+    fn worm_edge_limit_is_a_typed_error() {
+        use crate::error::SimError;
+        let max = u32::MAX as usize - 1;
+        assert_eq!(check_worm_edges(0, 1), Ok(()));
+        assert_eq!(check_worm_edges(2, max), Ok(()));
+        assert_eq!(
+            check_worm_edges(2, max + 1),
+            Err(SimError::WormTooLong {
+                worm: 2,
+                edges: max + 1
+            })
+        );
+    }
+
+    /// Waiter queues are FIFO, exist only while a channel has waiters
+    /// (an emptied queue goes back to the pool for the next channel),
+    /// and `move_to` carries owner and waiters to another table and
+    /// back intact.
+    #[test]
+    fn chan_table_pools_queues_and_moves_rows() {
+        let mut t = ChanTable::new(4);
+        assert_eq!(t.owner(2), None);
+        t.set_owner(2, Some((0, 5)));
+        assert_eq!(t.owner(2), Some((0, 5)));
+        t.enqueue(2, 7, 1);
+        t.enqueue(2, 3, 0);
+        t.enqueue(2, 9, 4);
+        assert_eq!(t.queue_len(2), 3);
+        t.remove_waiter(2, 3, 0);
+        assert_eq!(t.waiters(2).collect::<Vec<_>>(), [(7, 1), (9, 4)]);
+
+        let mut lane = ChanTable::default();
+        let row = lane.push_idle();
+        t.move_to(2, &mut lane, row);
+        assert_eq!((t.owner(2), t.queue_len(2)), (None, 0));
+        assert_eq!(lane.owner(row), Some((0, 5)));
+        lane.enqueue(row, 8, 2);
+        lane.move_to(row, &mut t, 2);
+        lane.clear();
+
+        assert_eq!(t.owner(2), Some((0, 5)));
+        assert_eq!(t.dequeue(2), Some((7, 1)));
+        assert_eq!(t.dequeue(2), Some((9, 4)));
+        assert_eq!(t.dequeue(2), Some((8, 2)));
+        assert_eq!(t.dequeue(2), None);
+        // Every queue is back in the pool; the next blocked channel
+        // reuses one instead of growing it.
+        let pooled = t.queues.len();
+        assert_eq!(t.free.len(), pooled);
+        t.enqueue(0, 1, 1);
+        assert_eq!(t.queues.len(), pooled);
     }
 
     #[test]

@@ -59,7 +59,15 @@ pub(crate) struct EventQueue<T> {
     boundary: Time,
     /// Ring of future buckets; slot `b % RING_BUCKETS` holds bucket `b`
     /// for `bucket < b <= bucket + RING_BUCKETS`.
+    /// INVARIANT: an empty slot holds no allocation — `advance` takes a
+    /// slot's buffer whole, and a slot borrows one from `spare` on its
+    /// first push — so retained capacity follows the buckets live at
+    /// once, not `RING_BUCKETS` times the largest bucket ever seen.
     ring: Vec<Vec<(Time, u64, T)>>,
+    /// Drained buffers waiting for the next empty slot to need one.
+    /// Buffers only move between `ready`, the slots and here, so the
+    /// pool never holds more than the peak count of non-empty slots.
+    spare: Vec<Vec<(Time, u64, T)>>,
     /// Total events across the ring slots.
     in_ring: usize,
     /// The current bucket, sorted ascending by `(time, seq)`; the next
@@ -88,6 +96,7 @@ impl<T: Copy> EventQueue<T> {
             bucket: 0,
             boundary: width,
             ring: (0..RING_BUCKETS).map(|_| Vec::new()).collect(),
+            spare: Vec::new(),
             in_ring: 0,
             ready: Vec::new(),
             head: 0,
@@ -128,8 +137,7 @@ impl<T: Copy> EventQueue<T> {
             t / self.width
         };
         if b - self.bucket <= RING_BUCKETS {
-            self.ring[(b % RING_BUCKETS) as usize].push((t, s, payload));
-            self.in_ring += 1;
+            self.push_ring(b, (t, s, payload));
         } else {
             self.overflow.push(Far(t, s, payload));
         }
@@ -154,6 +162,19 @@ impl<T: Copy> EventQueue<T> {
         Some(ev)
     }
 
+    /// Appends to bucket `b`'s ring slot, borrowing a spare buffer if
+    /// the slot is empty (and so, by the ring invariant, unallocated).
+    fn push_ring(&mut self, b: u64, ev: (Time, u64, T)) {
+        let slot = &mut self.ring[(b % RING_BUCKETS) as usize];
+        if slot.capacity() == 0 {
+            if let Some(buf) = self.spare.pop() {
+                *slot = buf;
+            }
+        }
+        slot.push(ev);
+        self.in_ring += 1;
+    }
+
     /// Refills `ready` from the ring (migrating overflow as the horizon
     /// moves). Caller guarantees the queue is nonempty and `ready` empty.
     fn advance(&mut self) {
@@ -176,13 +197,18 @@ impl<T: Copy> EventQueue<T> {
                     break;
                 }
                 let Far(t, s, payload) = self.overflow.pop().expect("just peeked");
-                self.ring[(b % RING_BUCKETS) as usize].push((t, s, payload));
-                self.in_ring += 1;
+                self.push_ring(b, (t, s, payload));
             }
             let slot = (self.bucket % RING_BUCKETS) as usize;
             if !self.ring[slot].is_empty() {
-                // Swap keeps both vecs' capacity alive across buckets.
-                std::mem::swap(&mut self.ready, &mut self.ring[slot]);
+                // Take the slot's buffer whole and park the spent `ready`
+                // buffer for the next slot that fills: a swap would leave
+                // every slot holding a peak-sized buffer forever.
+                let run = std::mem::take(&mut self.ring[slot]);
+                let spent = std::mem::replace(&mut self.ready, run);
+                if spent.capacity() > 0 {
+                    self.spare.push(spent);
+                }
                 self.in_ring -= self.ready.len();
                 // Simulation time is monotone, so a bucket's events
                 // usually arrived already ordered; verify with one cheap
@@ -385,6 +411,58 @@ mod tests {
             assert!(reference.is_empty());
             // Next cycle resumes later in time, as the engine would.
             base = last + 1 + rng.next() % (WIDTH * RING_BUCKETS * 2);
+        }
+    }
+
+    /// Property: the ring's retained capacity tracks the events live at
+    /// once. Same-bucket bursts of 10,000 events, each drained down to a
+    /// tail that the next burst's interleaved pops finish off, march
+    /// through more than three full ring revolutions; the capacity held
+    /// across the slots, `ready` and the spare pool must stay within 4×
+    /// the queue's high-water length (a buffer swap that leaves every
+    /// slot holding a burst-sized buffer retains hundreds of times that).
+    #[test]
+    fn ring_capacity_stays_bounded_by_live_events() {
+        const WIDTH: Time = 400;
+        const BURST: u64 = 10_000;
+        const TAIL: usize = 1_000;
+        let mut q: EventQueue<u32> = EventQueue::new(WIDTH);
+        let mut reference: BinaryHeap<Reverse<(Time, u64, u32)>> = BinaryHeap::new();
+        let check_pop = |q: &mut EventQueue<u32>, reference: &mut BinaryHeap<_>| {
+            let got = q.pop();
+            assert_eq!(got, reference.pop().map(|Reverse(e)| e));
+            got.expect("queue nonempty").0
+        };
+        let mut seq = 0u64;
+        let mut high_water = 0usize;
+        let mut now: Time = 0;
+        // Each burst lands 4 buckets past the last pop: 400 rounds move
+        // the cursor over 1,600 buckets, more than 3 × 512.
+        for round in 0..400 {
+            let bucket_start = (now / WIDTH + 4) * WIDTH;
+            for i in 0..BURST {
+                seq += 1;
+                q.push(bucket_start + i % WIDTH, seq as u32);
+                reference.push(Reverse((bucket_start + i % WIDTH, seq, seq as u32)));
+                high_water = high_water.max(q.len);
+                if i % 4 == 0 && q.len > BURST as usize - TAIL {
+                    now = check_pop(&mut q, &mut reference);
+                }
+            }
+            while q.len > TAIL {
+                now = check_pop(&mut q, &mut reference);
+            }
+            let held = q.ring.iter().map(Vec::capacity).sum::<usize>()
+                + q.ready.capacity()
+                + q.spare.iter().map(Vec::capacity).sum::<usize>();
+            assert!(
+                held <= 4 * high_water,
+                "round {round}: ring holds capacity {held} for high-water {high_water}"
+            );
+        }
+        assert!(now / WIDTH > 3 * RING_BUCKETS, "must lap the ring 3 times");
+        while !q.is_empty() {
+            check_pop(&mut q, &mut reference);
         }
     }
 

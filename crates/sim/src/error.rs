@@ -40,6 +40,14 @@ pub enum SimError {
         /// Index of the offending worm in the plan.
         worm: usize,
     },
+    /// A plan worm has more edges than the engine's `u32` edge ids can
+    /// number (`u32::MAX` is their "no edge" sentinel).
+    WormTooLong {
+        /// Index of the offending worm in the plan.
+        worm: usize,
+        /// Its edge count.
+        edges: usize,
+    },
     /// The referenced message is not live in the engine (already
     /// completed, aborted, or never injected).
     MessageNotLive(MessageId),
@@ -57,6 +65,12 @@ impl fmt::Display for SimError {
             SimError::EmptyWorm => write!(f, "plan worm has no hops"),
             SimError::BadDependency { worm } => {
                 write!(f, "staged worm {worm} depends on itself or a later worm")
+            }
+            SimError::WormTooLong { worm, edges } => {
+                write!(
+                    f,
+                    "worm {worm} has {edges} edges, over the u32 edge-id limit"
+                )
             }
             SimError::MessageNotLive(id) => write!(f, "message {id} is not live"),
         }

@@ -11,74 +11,88 @@ use mcast_topology::{Channel, FaultMask, NodeId, Topology};
 /// Dense channel identifier within a [`Network`].
 pub type ChannelId = usize;
 
+/// Largest channel count a [`Network`] holds: every id must fit the
+/// engine's `u32` channel fields with `u32::MAX` left free as their
+/// "no channel" sentinel.
+pub const MAX_CHANNELS: usize = u32::MAX as usize;
+
+/// Head node of one directed link — the only per-link array.
+type LinkHead = u32;
+
+/// Network bytes per channel at one class: the link's head node plus the
+/// channel's failure flag (the per-node row offsets are not per channel).
+const BYTES_PER_CHANNEL: usize = size_of::<LinkHead>() + size_of::<bool>();
+const _: () = assert!(BYTES_PER_CHANNEL <= 16);
+
 /// The channel table of a simulated network.
 ///
 /// Channel ids are assigned link-major: the class copies of one directed
-/// link occupy consecutive ids `base..base + classes`. Lookups go through
-/// a CSR adjacency over the `from` node (a handful of neighbors per node)
-/// instead of a hash map — `id_of`/`link_base` sit on the engine's
-/// channel-request hot path.
+/// link occupy consecutive ids `base..base + classes`. Links are
+/// numbered in [`Topology::channels`] order — from-major, each node's
+/// links in its neighbour order — so the CSR adjacency over the `from`
+/// node *is* the link table: a link's position in it is its index, and
+/// its base id is that index times `classes`. No per-channel endpoint
+/// table exists; [`Network::channel`] recovers the tail node by a binary
+/// search over the row offsets. Lookups scan one row (a handful of
+/// neighbours) instead of hashing — `id_of`/`link_base` sit on the
+/// engine's worm-build path.
 #[derive(Debug, Clone)]
 pub struct Network {
-    channels: Vec<Channel>,
     classes: u8,
-    num_nodes: usize,
-    /// Per-channel liveness: a failed physical link marks every class of
-    /// both directions dead. Dead channels are never granted.
-    alive: Vec<bool>,
-    /// CSR row offsets: node `n`'s outgoing links are
-    /// `adj[adj_start[n]..adj_start[n + 1]]`.
+    /// CSR row offsets: node `n`'s outgoing links are the indices
+    /// `adj_start[n]..adj_start[n + 1]`.
     adj_start: Vec<u32>,
-    /// `(to, base id)` per directed link, grouped by `from`.
-    adj: Vec<(NodeId, ChannelId)>,
+    /// Head node of every directed link, by link index.
+    link_to: Vec<LinkHead>,
+    /// Per-channel failure flag: a failed physical link marks every
+    /// class of both directions dead, and dead channels are never
+    /// granted. All-false when healthy, so the table starts as a zeroed
+    /// allocation.
+    dead: Vec<bool>,
 }
 
 impl Network {
     /// Builds the channel table for `topo` with `classes` copies of every
     /// directed channel (1 = single-channel, 2 = double-channel).
+    ///
+    /// # Panics
+    /// If the channel count exceeds [`MAX_CHANNELS`]. Spec-driven callers
+    /// meet this limit earlier as a typed error
+    /// (`registry::check_channel_ids`); the assert is the last line of
+    /// defence.
     pub fn new<T: Topology + ?Sized>(topo: &T, classes: u8) -> Self {
         assert!(classes >= 1, "at least one channel class");
         let num_nodes = topo.num_nodes();
-        let mut channels = Vec::new();
-        let mut links: Vec<(NodeId, NodeId, ChannelId)> = Vec::new();
-        for base in topo.channels() {
-            links.push((base.from, base.to, channels.len()));
-            for class in 0..classes {
-                channels.push(Channel::with_class(base.from, base.to, class));
-            }
-        }
-        let mut adj_start = vec![0u32; num_nodes + 1];
-        for &(from, _, _) in &links {
-            adj_start[from + 1] += 1;
-        }
+        let mut adj_start = Vec::with_capacity(num_nodes + 1);
+        let mut link_to: Vec<LinkHead> = Vec::new();
+        let mut nb = Vec::new();
+        adj_start.push(0);
         for n in 0..num_nodes {
-            adj_start[n + 1] += adj_start[n];
+            topo.neighbors_into(n, &mut nb);
+            link_to.extend(nb.iter().map(|&m| m as LinkHead));
+            adj_start.push(link_to.len() as u32);
         }
-        let mut adj = vec![(0, 0); links.len()];
-        let mut cursor: Vec<u32> = adj_start.clone();
-        for &(from, to, base) in &links {
-            adj[cursor[from] as usize] = (to, base);
-            cursor[from] += 1;
-        }
-        let alive = vec![true; channels.len()];
+        let channels = link_to.len().saturating_mul(classes as usize);
+        assert!(
+            channels <= MAX_CHANNELS && num_nodes <= MAX_CHANNELS,
+            "{channels} channels over {num_nodes} nodes exceed the u32 id space"
+        );
         Network {
-            channels,
             classes,
-            num_nodes,
-            alive,
             adj_start,
-            adj,
+            link_to,
+            dead: vec![false; channels],
         }
     }
 
     /// Number of channels (all classes).
     pub fn num_channels(&self) -> usize {
-        self.channels.len()
+        self.dead.len()
     }
 
     /// Number of nodes in the underlying topology.
     pub fn num_nodes(&self) -> usize {
-        self.num_nodes
+        self.adj_start.len() - 1
     }
 
     /// Number of channel classes.
@@ -86,9 +100,20 @@ impl Network {
         self.classes
     }
 
+    /// Link indices leaving `from`.
+    fn row(&self, from: NodeId) -> std::ops::Range<usize> {
+        self.adj_start[from] as usize..self.adj_start[from + 1] as usize
+    }
+
     /// The channel with a given id.
     pub fn channel(&self, id: ChannelId) -> Channel {
-        self.channels[id]
+        let classes = self.classes as usize;
+        let link = id / classes;
+        // The last row starting at or before `link` holds it (empty
+        // rows of isolated nodes start at the same offset and sort
+        // earlier).
+        let from = self.adj_start.partition_point(|&s| s as usize <= link) - 1;
+        Channel::with_class(from, self.link_to[link] as NodeId, (id % classes) as u8)
     }
 
     /// The base (class-0) channel id of the directed `from → to` link;
@@ -96,14 +121,15 @@ impl Network {
     /// `base..base + classes`.
     #[inline]
     pub fn link_base(&self, from: NodeId, to: NodeId) -> Option<ChannelId> {
-        if from >= self.num_nodes {
+        if from >= self.num_nodes() {
             return None;
         }
-        let row = self.adj_start[from] as usize..self.adj_start[from + 1] as usize;
-        self.adj[row]
+        let row = self.row(from);
+        let start = row.start;
+        self.link_to[row]
             .iter()
-            .find(|&&(t, _)| t == to)
-            .map(|&(_, base)| base)
+            .position(|&t| t as NodeId == to)
+            .map(|i| (start + i) * self.classes as usize)
     }
 
     /// Looks up a specific `(from, to, class)` channel.
@@ -124,18 +150,19 @@ impl Network {
     }
 
     /// Whether a channel is alive (failed channels are never granted).
+    #[inline]
     pub fn is_alive(&self, id: ChannelId) -> bool {
-        self.alive[id]
+        !self.dead[id]
     }
 
     /// Number of channels still alive.
     pub fn num_alive(&self) -> usize {
-        self.alive.iter().filter(|&&a| a).count()
+        self.dead.iter().filter(|&&d| !d).count()
     }
 
     /// Kills one directed channel. Returns `true` if it was alive.
     pub fn kill_channel(&mut self, id: ChannelId) -> bool {
-        std::mem::replace(&mut self.alive[id], false)
+        !std::mem::replace(&mut self.dead[id], true)
     }
 
     /// Kills the physical link between `a` and `b`: every class of both
@@ -153,31 +180,47 @@ impl Network {
         died
     }
 
+    /// Every channel as `(id, channel)`, ascending by id (links are
+    /// from-major, so walking the rows in node order is id order).
+    fn each_channel(&self) -> impl Iterator<Item = (ChannelId, Channel)> + '_ {
+        let classes = self.classes as usize;
+        (0..self.num_nodes()).flat_map(move |from| {
+            self.row(from).flat_map(move |link| {
+                let to = self.link_to[link] as NodeId;
+                (0..classes).map(move |class| {
+                    (
+                        link * classes + class,
+                        Channel::with_class(from, to, class as u8),
+                    )
+                })
+            })
+        })
+    }
+
     /// Kills every link incident to `node` (node failure = all its
     /// channels fail, §DESIGN.md fault model). Returns the dead channels.
     pub fn kill_node(&mut self, node: NodeId) -> Vec<ChannelId> {
-        let mut died = Vec::new();
-        for id in 0..self.channels.len() {
-            let c = self.channels[id];
-            if (c.from == node || c.to == node) && self.kill_channel(id) {
-                died.push(id);
-            }
-        }
-        died
+        let hit: Vec<ChannelId> = self
+            .each_channel()
+            .filter(|(_, c)| c.from == node || c.to == node)
+            .map(|(id, _)| id)
+            .collect();
+        hit.into_iter()
+            .filter(|&id| self.kill_channel(id))
+            .collect()
     }
 
     /// Applies a [`FaultMask`]: kills every channel the mask declares
     /// dead. Returns the newly dead channel ids.
     pub fn apply_fault_mask(&mut self, mask: &FaultMask) -> Vec<ChannelId> {
-        let mut died = Vec::new();
-        for id in 0..self.channels.len() {
-            let c = self.channels[id];
-            if self.alive[id] && !mask.is_channel_alive(c) {
-                self.alive[id] = false;
-                died.push(id);
-            }
-        }
-        died
+        let hit: Vec<ChannelId> = self
+            .each_channel()
+            .filter(|&(_, c)| !mask.is_channel_alive(c))
+            .map(|(id, _)| id)
+            .collect();
+        hit.into_iter()
+            .filter(|&id| self.kill_channel(id))
+            .collect()
     }
 }
 
@@ -208,6 +251,36 @@ mod tests {
         }
         assert_eq!(n.link_base(0, 5), None, "0 and 5 are not adjacent");
         assert_eq!(n.link_base(m.num_nodes(), 0), None);
+    }
+
+    /// Ids follow `Topology::channels()` order on every topology kind,
+    /// class copies consecutive — the numbering traces, utilization CSVs
+    /// and the partition's conflict keys depend on.
+    #[test]
+    fn ids_follow_topology_channel_order() {
+        use mcast_topology::{Hypercube, KAryNCube, Mesh3D};
+        let topos: Vec<Box<dyn Topology>> = vec![
+            Box::new(Mesh2D::new(5, 3)),
+            Box::new(Mesh3D::new(3, 2, 2)),
+            Box::new(Hypercube::new(4)),
+            Box::new(KAryNCube::torus(3, 2)),
+            Box::new(KAryNCube::torus(2, 3)),
+            Box::new(KAryNCube::mesh(4, 2)),
+        ];
+        for topo in &topos {
+            for classes in 1..=3u8 {
+                let n = Network::new(topo.as_ref(), classes);
+                let links = topo.channels();
+                assert_eq!(n.num_channels(), links.len() * classes as usize);
+                for (i, c) in links.iter().enumerate() {
+                    for k in 0..classes {
+                        let id = i * classes as usize + k as usize;
+                        assert_eq!(n.channel(id), Channel::with_class(c.from, c.to, k));
+                        assert_eq!(n.id_of(n.channel(id)), Some(id));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

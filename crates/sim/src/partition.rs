@@ -59,8 +59,8 @@ use mcast_obs::SimEvent;
 use mcast_topology::NodeId;
 
 use crate::engine::{
-    exec_event, ChanState, CompletedMessage, Deliveries, Engine, Event, ExecCtx, MessageState,
-    SimEnv, Time, WormState,
+    exec_event, ChanTable, CompletedMessage, Deliveries, Engine, Event, ExecCtx, MessageState,
+    SimEnv, Time, WormState, NONE,
 };
 use crate::network::ChannelId;
 
@@ -69,9 +69,6 @@ use crate::network::ChannelId;
 /// there is almost nothing to overlap. (Forced executors never skip:
 /// the test hook exists precisely to exercise the machinery.)
 const INLINE_COHORT: usize = 8;
-
-/// "No entry" marker in the dense `u32` tables.
-const NONE: u32 = u32::MAX;
 
 /// Exact work counters of the window-parallel executor, summed since
 /// it was installed (DESIGN.md §15). They depend only on the simulated
@@ -281,10 +278,11 @@ struct CompCtx {
     /// Last `(worm id, index)` resolved by `widx` — a cascade looks up
     /// the same worm many times per event.
     worm_memo: Cell<Option<(usize, usize)>>,
-    /// Sorted channel ids ∥ state ∥ fault-liveness snapshot (faults
-    /// only change between run calls, never mid-window).
+    /// Sorted channel ids ∥ their owners and waiter queues (row `i` of
+    /// `chans` is channel `chan_ids[i]`) ∥ fault-liveness snapshot
+    /// (faults only change between run calls, never mid-window).
     chan_ids: Vec<ChannelId>,
-    chans: Vec<ChanState>,
+    chans: ChanTable,
     alive: Vec<bool>,
     /// Sorted message ids ∥ their checked-out slots.
     msg_ids: Vec<usize>,
@@ -389,12 +387,12 @@ impl ExecCtx for CompCtx {
     fn worm_ref(&self, w: usize) -> &WormState {
         &self.worms[self.widx(w)]
     }
-    fn chan(&mut self, c: ChannelId) -> &mut ChanState {
+    fn chans(&mut self, c: ChannelId) -> (&mut ChanTable, usize) {
         let i = self.cidx(c);
-        &mut self.chans[i]
+        (&mut self.chans, i)
     }
-    fn chan_ref(&self, c: ChannelId) -> &ChanState {
-        &self.chans[self.cidx(c)]
+    fn chans_ref(&self, c: ChannelId) -> (&ChanTable, usize) {
+        (&self.chans, self.cidx(c))
     }
     fn chan_alive(&self, c: ChannelId) -> bool {
         self.alive[self.cidx(c)]
@@ -502,7 +500,7 @@ struct Classify {
     /// dependents).
     qworms: Vec<usize>,
     /// Link bases an event can touch.
-    links: Vec<ChannelId>,
+    links: Vec<u32>,
     /// Events per component, then lane per component.
     comp_events: Vec<u32>,
     comp_lane: Vec<u32>,
@@ -645,8 +643,8 @@ impl Classify {
                         // share this link, so they are already
                         // in-component.
                         self.links.push(es.link_key);
-                        if let Some(chan) = es.channel {
-                            for &(w2, _) in engine.channels[chan].queue.iter() {
+                        if let Some(chan) = es.channel() {
+                            for (w2, _) in engine.chans.waiters(chan) {
                                 self.qworms.push(w2);
                                 let n2 = self.msg_node(engine.worms[w2].message);
                                 self.union(node, n2);
@@ -676,7 +674,7 @@ impl Classify {
             }
             let l1 = self.links.len() as u32;
             for l in l0..l1 {
-                let ln = self.link_node(self.links[l as usize]);
+                let ln = self.link_node(self.links[l as usize] as usize);
                 self.union(node, ln);
             }
             self.ev.push(EvClass {
@@ -840,7 +838,7 @@ fn execute_window(engine: &mut Engine, par: &mut ParallelExec, cohort: &[(Time, 
     let cl = &mut par.classify;
     cl.begin(
         engine.messages.len(),
-        engine.channels.len(),
+        engine.network.num_channels(),
         engine.worms.len(),
     );
     let n_comp = cl.cluster(engine, cohort, env.flits);
@@ -895,6 +893,7 @@ fn execute_window(engine: &mut Engine, par: &mut ParallelExec, cohort: &[(Time, 
         // Class copies of a link are consecutive channel ids and only
         // ever join a lane together, so the base's stamp covers them.
         for &base in &cl.links[c.links.0 as usize..c.links.1 as usize] {
+            let base = base as usize;
             if Classify::first_visit(&mut cl.seen_chan, epoch, base) {
                 lane.chan_ids.extend(base..base + classes);
             }
@@ -983,11 +982,10 @@ fn check_out(engine: &mut Engine, lane: &mut CompCtx) {
             .iter()
             .map(|&w| std::mem::replace(&mut engine.worms[w], WormState::vacant())),
     );
-    lane.chans.extend(
-        lane.chan_ids
-            .iter()
-            .map(|&c| std::mem::take(&mut engine.channels[c])),
-    );
+    for &c in &lane.chan_ids {
+        let row = lane.chans.push_idle();
+        engine.chans.move_to(c, &mut lane.chans, row);
+    }
     lane.alive
         .extend(lane.chan_ids.iter().map(|&c| engine.network.is_alive(c)));
     lane.msgs
@@ -1000,8 +998,8 @@ fn restore(engine: &mut Engine, lane: &mut CompCtx) {
     for (&w, st) in lane.worm_ids.iter().zip(lane.worms.drain(..)) {
         engine.worms[w] = st;
     }
-    for (&c, st) in lane.chan_ids.iter().zip(lane.chans.drain(..)) {
-        engine.channels[c] = st;
+    for (row, &c) in lane.chan_ids.iter().enumerate() {
+        lane.chans.move_to(row, &mut engine.chans, c);
     }
     for (&m, st) in lane.msg_ids.iter().zip(lane.msgs.drain(..)) {
         engine.messages[m] = st;

@@ -137,14 +137,18 @@ impl DeliveryPlan {
 
     /// Total channels claimed across all worms (the plan's traffic).
     pub fn traffic(&self) -> usize {
-        self.worms
-            .iter()
-            .map(|w| match w {
-                PlanWorm::Path(p) | PlanWorm::Circuit(p) => p.nodes.len() - 1,
-                PlanWorm::Staged(s) => s.path.nodes.len() - 1,
-                PlanWorm::Tree(t) => t.edges.len(),
-            })
-            .sum()
+        self.worms.iter().map(PlanWorm::num_edges).sum()
+    }
+}
+
+impl PlanWorm {
+    /// Channels (edges) the worm claims: hops of a path, edges of a tree.
+    pub fn num_edges(&self) -> usize {
+        match self {
+            PlanWorm::Path(p) | PlanWorm::Circuit(p) => p.nodes.len().saturating_sub(1),
+            PlanWorm::Staged(s) => s.path.nodes.len().saturating_sub(1),
+            PlanWorm::Tree(t) => t.edges.len(),
+        }
     }
 }
 

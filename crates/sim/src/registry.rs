@@ -46,7 +46,7 @@ use mcast_topology::{
 };
 
 use crate::collectives::{CollectiveKind, CollectiveRouter, DpmRouter, UnicastRouting};
-use crate::network::Network;
+use crate::network::{Network, MAX_CHANNELS};
 use crate::recovery::{
     FaultDualPathRouter, FaultMultiPathRouter, FaultMulticastRouter, ObliviousRouter,
 };
@@ -232,6 +232,39 @@ impl TopoSpec {
             TopoSpec::KAryNCube { k, n, .. } => k.pow(n),
             TopoSpec::Custom { ref graph, .. } => graph.num_nodes(),
         }
+    }
+
+    /// Directed class-0 channels (one per link direction), in closed form
+    /// — no graph is built. `None` if the count overflows `usize`.
+    pub fn num_channels(&self) -> Option<usize> {
+        // Links along one dimension of extent `e` in a grid of `n` nodes.
+        let along = |e: usize, n: usize| (n / e).checked_mul(e.saturating_sub(1));
+        let links = match *self {
+            TopoSpec::Mesh2D { w, h } => along(w, w * h)?.checked_add(along(h, w * h)?)?,
+            TopoSpec::Mesh3D { w, h, d } => {
+                let n = w * h * d;
+                along(w, n)?
+                    .checked_add(along(h, n)?)?
+                    .checked_add(along(d, n)?)?
+            }
+            TopoSpec::Hypercube { dim } => {
+                return (1usize << dim).checked_mul(dim as usize);
+            }
+            TopoSpec::KAryNCube { k, n, wraps } => {
+                let nodes = k.checked_pow(n)?;
+                if !wraps {
+                    along(k, nodes)?.checked_mul(n as usize)?
+                } else if k == 2 {
+                    // Both ring neighbours coincide: one link per node
+                    // per dimension.
+                    return nodes.checked_mul(n as usize);
+                } else {
+                    nodes.checked_mul(n as usize)?
+                }
+            }
+            TopoSpec::Custom { ref graph, .. } => return Some(graph.num_channels()),
+        };
+        links.checked_mul(2)
     }
 
     /// The label order used by the Hamiltonian-path schemes:
@@ -575,6 +608,35 @@ pub fn scheme_deadlock_free(topo: &TopoSpec, name: &str) -> bool {
     }
 }
 
+/// Channel classes a scheme's router requires: its
+/// [`MulticastRouter::required_classes`] in closed form, so the channel
+/// id limit can be checked before a router is built.
+pub fn scheme_classes(scheme: &SchemeId) -> u8 {
+    match scheme.name.as_str() {
+        "dc-tree" => 2,
+        "octant-tree" => 4,
+        "vc-multi-path" => scheme.lanes_or_default(),
+        _ => 1,
+    }
+}
+
+/// Rejects a topology whose channels, `classes` copies of each, cannot
+/// all take `u32` ids — the engine's channel fields reserve `u32::MAX`
+/// as their "no channel" sentinel (DESIGN.md §10.2). Closed-form, so it
+/// runs before anything is built or allocated.
+pub fn check_channel_ids(topo: &TopoSpec, classes: u8) -> Result<(), RegistryError> {
+    let total = topo
+        .num_channels()
+        .and_then(|c| c.checked_mul(classes as usize));
+    match total {
+        Some(t) if t <= MAX_CHANNELS => Ok(()),
+        _ => Err(err(format!(
+            "{topo} with {classes} channel class(es) has more than {MAX_CHANNELS} channels, \
+             the u32 channel-id limit"
+        ))),
+    }
+}
+
 fn not_available(topo: &TopoSpec, scheme: &SchemeId) -> RegistryError {
     err(format!("scheme {scheme:?} not available on {topo}"))
 }
@@ -597,6 +659,7 @@ pub fn build_router(
     scheme: &SchemeId,
 ) -> Result<Box<dyn MulticastRouter + Send + Sync>, RegistryError> {
     check_lanes(scheme)?;
+    check_channel_ids(topo, scheme_classes(scheme))?;
     let built = topo.build();
     let lanes = scheme.lanes_or_default();
     // Custom graphs route over synthesized certified functions; the
@@ -1083,9 +1146,61 @@ mod tests {
                 let r =
                     build_router(&spec, &scheme).unwrap_or_else(|e| panic!("{topo}/{scheme}: {e}"));
                 assert!(!r.name().is_empty());
-                assert!(r.required_classes() >= 1);
+                assert_eq!(
+                    r.required_classes(),
+                    scheme_classes(&scheme),
+                    "{topo}/{scheme}"
+                );
             }
         }
+    }
+
+    /// The closed-form channel count matches the built topology's on
+    /// every kind, edge cases included.
+    #[test]
+    fn closed_form_channel_counts_match_built_topologies() {
+        for s in [
+            "mesh:1x1",
+            "mesh:1x5",
+            "mesh:4x3",
+            "mesh:3x3x3",
+            "mesh:2x1x4",
+            "cube:1",
+            "cube:5",
+            "kary:3x3",
+            "kary:2x4",
+            "torus:3x3",
+            "torus:2x3",
+            "torus:4x2",
+            "custom:rand:10x3",
+        ] {
+            let spec = TopoSpec::parse(s).unwrap();
+            assert_eq!(
+                spec.num_channels(),
+                Some(spec.build().as_dyn().num_channels()),
+                "{s}"
+            );
+        }
+    }
+
+    /// Channel ids are `u32` with `u32::MAX` reserved. `cube:27` has
+    /// 27 × 2^27 ≈ 3.6 G channels: one class fits, two do not, and
+    /// `cube:28` does not fit at all. Closed-form counts, nothing built.
+    #[test]
+    fn channel_id_limit_is_a_typed_error() {
+        let cube27 = TopoSpec::parse("cube:27").unwrap();
+        let cube28 = TopoSpec::parse("cube:28").unwrap();
+        assert_eq!(check_channel_ids(&cube27, 1), Ok(()));
+        assert!(check_channel_ids(&cube27, 2).is_err());
+        assert!(check_channel_ids(&cube28, 1).is_err());
+        let widest = TopoSpec::parse(&format!("cube:{}", usize::BITS - 2)).unwrap();
+        assert!(check_channel_ids(&widest, 1).is_err(), "overflowing count");
+        // build_router refuses before building anything: dual-path on
+        // cube:28 would otherwise allocate a 2^28-node labeling.
+        let e = build_router(&cube28, &SchemeId::named("dual-path")).err();
+        assert!(e.is_some_and(|e| e.0.contains("u32 channel-id limit")));
+        let vc2 = SchemeId::parse("vc-multi-path:2").unwrap();
+        assert!(build_router(&cube27, &vc2).is_err());
     }
 
     #[test]

@@ -16,7 +16,10 @@
 //! hypercubes and k-ary n-cubes alike.
 
 use mcast_obs::json::Json;
-use mcast_sim::registry::{build_fault_router, build_router, RegistryError, SchemeId, TopoSpec};
+use mcast_sim::registry::{
+    build_fault_router, build_router, check_channel_ids, scheme_classes, RegistryError, SchemeId,
+    TopoSpec,
+};
 use mcast_sim::routers::{ClassOverrideRouter, MulticastRouter};
 use mcast_sim::FaultMulticastRouter;
 
@@ -244,11 +247,15 @@ impl ExperimentSpec {
     }
 
     /// Builds every scheme's router (applying the `channel_classes`
-    /// override), pairing each with its canonical scheme label.
+    /// override), pairing each with its canonical scheme label. A
+    /// network too large for `u32` channel ids at the resulting class
+    /// count is refused before any router is built.
     pub fn build_routers(&self) -> Result<Vec<(String, SchemeRouter)>, RegistryError> {
         self.schemes
             .iter()
             .map(|scheme| {
+                let classes = scheme_classes(scheme).max(self.channel_classes.unwrap_or(1));
+                check_channel_ids(&self.topology, classes)?;
                 let router = build_router(&self.topology, scheme)?;
                 let router: SchemeRouter = match self.channel_classes {
                     Some(classes) => Box::new(ClassOverrideRouter::new(router, classes)),
@@ -1109,6 +1116,21 @@ mod tests {
         s.schemes = vec![SchemeId::named("octant-tree")]; // 3D-only
         assert!(s.validate().is_err());
         sample().validate().unwrap();
+    }
+
+    /// `cube:27` has 27 × 2^27 channels: one class fits `u32` ids, but
+    /// the `channel_classes` override to 2 does not, and validation
+    /// says so without building the network.
+    #[test]
+    fn validate_refuses_channel_ids_beyond_u32() {
+        let mut s = ExperimentSpec::new("huge", TopoSpec::parse("cube:27").unwrap());
+        s.schemes = vec![SchemeId::named("dual-path")];
+        s.channel_classes = Some(2);
+        let e = s.validate().expect_err("2 classes overflow u32 ids");
+        assert!(e.0.contains("u32 channel-id limit"), "{e}");
+        s.topology = TopoSpec::parse("cube:28").unwrap();
+        s.channel_classes = None;
+        assert!(s.validate().is_err());
     }
 
     #[test]
