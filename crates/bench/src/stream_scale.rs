@@ -204,8 +204,8 @@ impl StreamBench {
     pub fn to_json(&self) -> String {
         let mut s = String::from("{\n  \"schema\": \"mcast-bench-perf-v5\",\n");
         s.push_str(
-            "  \"complements\": \"BENCH_4.json — that document gates the space-parallel \
-             engine; this one records the streaming injection pipeline's bounded-memory \
+            "  \"complements\": \"BENCH_4.json — that document gates the engine's probe \
+             and scaling work; this one records the streaming injection pipeline's bounded-memory \
              scale block (DESIGN.md §16). Gated probes' work metrics are CI-gated exactly; \
              wall clocks and flits_per_sec are report-only\",\n",
         );

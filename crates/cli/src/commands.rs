@@ -98,12 +98,10 @@ VERIFY:       differential conformance of the optimized engine against
               to minimal reproducer specs written under --out
 SWEEP:        fans load x algorithm x replication across --jobs threads
               (default: all cores, or MCAST_JOBS / RAYON_NUM_THREADS);
-              --engine-jobs <N> additionally runs every *single*
-              simulation on N worker lanes via the space-parallel
-              deterministic engine (DESIGN.md §15) — bit-identical to
-              serial, composes with --jobs; --compare-serial also runs
-              the fully serial reference (1 job, 1 engine lane) and
-              checks the parallel results are bit-identical
+              --compare-serial also runs the serial reference (1 job)
+              and checks the parallel results are bit-identical
+ENGINE-JOBS:  --engine-jobs <N> on sweep, run and serve is accepted for
+              compatibility; runs serial (DESIGN.md §15)
 TOPO:         custom-topology toolkit — <SRC> is a graph file (JSON or
               a DOT subset) or a generator form (rand:/lmesh:/ftree:);
               synthesize certifies the up*/down* (duplex) or
@@ -334,36 +332,15 @@ fn sweep_spec(a: &Args) -> Result<ExperimentSpec, CliError> {
     spec.destinations = a.number("dests", 8)?;
     spec.replications = a.number("replications", 3)?;
     spec.seed = a.number("seed", 7)?;
-    spec.engine_jobs = engine_jobs_flag(a)?;
+    ignore_engine_jobs(a)?;
     Ok(spec)
 }
 
-/// Parses `--engine-jobs` (single-run engine lanes, DESIGN.md §15);
-/// 0 / absent means 1 lane (the plain serial engine). Requesting more
-/// lanes than the host has cores is allowed — results are bit-identical
-/// at any lane count — but warns, since the extra lanes only add
-/// windowing overhead.
-fn engine_jobs_flag(a: &Args) -> Result<usize, ArgError> {
-    Ok(match a.number::<usize>("engine-jobs", 0)? {
-        0 => 1,
-        n => {
-            if let Some(host) = host_cpus() {
-                if n > host {
-                    eprintln!(
-                        "warning: --engine-jobs {n} exceeds this host's {host} available \
-                         core(s); results are identical but lanes beyond the core count \
-                         only add overhead"
-                    );
-                }
-            }
-            n
-        }
-    })
-}
-
-/// Cores available to this process (`None` if the platform won't say).
-fn host_cpus() -> Option<usize> {
-    std::thread::available_parallelism().ok().map(|n| n.get())
+/// Parses and discards `--engine-jobs`. The flag is accepted for
+/// compatibility, but every simulation runs the one serial engine: the
+/// window-parallel executor it selected was retired (DESIGN.md §15).
+fn ignore_engine_jobs(a: &Args) -> Result<(), ArgError> {
+    a.number::<usize>("engine-jobs", 0).map(drop)
 }
 
 /// `mcast sweep …` — the Chapter-7 grid (loads × algorithms ×
@@ -386,14 +363,8 @@ pub fn sweep(a: &Args) -> Result<(), CliError> {
     let (rows, parallel_ms) = run(jobs, &spec)?;
     print_sweep_table(&rows);
     if compare_serial {
-        // The reference leg is fully serial: one sweep thread AND one
-        // engine lane, so the comparison also proves the space-parallel
-        // engine (when --engine-jobs > 1) changed nothing.
-        let serial_spec = ExperimentSpec {
-            engine_jobs: 1,
-            ..spec.clone()
-        };
-        let (serial_rows, serial_ms) = run(1, &serial_spec)?;
+        // The reference leg runs on one sweep thread.
+        let (serial_rows, serial_ms) = run(1, &spec)?;
         let identical = rows.len() == serial_rows.len()
             && rows.iter().zip(&serial_rows).all(|(p, s)| {
                 p.point == s.point
@@ -439,12 +410,7 @@ pub fn sweep(a: &Args) -> Result<(), CliError> {
 pub fn run(a: &Args) -> Result<(), CliError> {
     let path = a.require("spec")?;
     let mut spec = read_spec_file(path)?;
-    // --engine-jobs overrides the spec's engine lanes; results are
-    // bit-identical either way (DESIGN.md §15), so the override never
-    // changes what the spec means, only how fast it runs.
-    if let n @ 2.. = engine_jobs_flag(a)? {
-        spec.engine_jobs = n;
-    }
+    ignore_engine_jobs(a)?;
     // --stream / --messages / --duration-ms turn on (or tighten) the
     // spec's streaming section: bounded-memory open-loop points
     // (DESIGN.md §16). --duration-ms bounds each point by simulated
@@ -1141,12 +1107,12 @@ pub fn serve(a: &Args) -> Result<(), CliError> {
         println!("chaos self-test passed: no jobs lost, ledger balances");
         return Ok(());
     }
+    ignore_engine_jobs(a)?;
     let cfg = ServeConfig {
         workers: match a.number::<usize>("jobs", 0)? {
             0 => resolve_jobs(None),
             n => n,
         },
-        engine_jobs: a.number("engine-jobs", 0)?,
         queue_cap: a.number("queue-cap", ServeConfig::default().queue_cap)?,
         deadline_ms: a.number("deadline-ms", 0)?,
         step_budget: a.number("step-budget", 0)?,
@@ -1635,11 +1601,12 @@ mod tests {
 
     #[test]
     fn engine_jobs_flag_accepts_oversubscription() {
-        // More lanes than cores stays valid (results are lane-count
-        // independent); the flag parses and only warns on stderr.
+        // Any lane count stays a valid invocation, however far past
+        // the core count: the flag is parsed as a number and ignored.
         let a = args(&["sweep", "--engine-jobs", "4096"]);
-        assert_eq!(engine_jobs_flag(&a).unwrap(), 4096);
-        assert!(host_cpus().is_none_or(|n| n >= 1));
+        assert!(ignore_engine_jobs(&a).is_ok());
+        let bad = args(&["sweep", "--engine-jobs", "many"]);
+        assert!(ignore_engine_jobs(&bad).is_err());
     }
 
     #[test]
@@ -1761,34 +1728,6 @@ mod tests {
     }
 
     #[test]
-    fn sweep_jobs_and_engine_jobs_compose_bit_identically() {
-        // Satellite of DESIGN.md §15: two sweep threads, each running
-        // its simulations on two engine lanes, against the fully serial
-        // reference (1 job, 1 lane). sweep() exits non-zero on any
-        // divergence, so a clean return IS the parity assertion.
-        sweep(&args(&[
-            "sweep",
-            "--topology",
-            "mesh:4x4",
-            "--algorithms",
-            "dual-path,multi-path",
-            "--loads-us",
-            "800,500",
-            "--dests",
-            "4",
-            "--replications",
-            "2",
-            "--jobs",
-            "2",
-            "--engine-jobs",
-            "2",
-            "--compare-serial",
-            "true",
-        ]))
-        .unwrap();
-    }
-
-    #[test]
     fn verify_quick_profile_passes_cleanly() {
         // The acceptance sweep: 64 cases from seed 1 must conform with
         // zero mismatches across every registry (topology, scheme) pair.
@@ -1812,10 +1751,13 @@ mod tests {
             messages: 4,
             seed: 3,
             fault_rate: 0.0,
-            engine_jobs: 2,
             stream: true,
         };
-        std::fs::write(&path, scenario.to_spec().to_json()).unwrap();
+        // Reproducers written before the engine-lane axis was retired
+        // carry `engine_jobs`; they must still replay.
+        let mut spec = scenario.to_spec();
+        spec.engine_jobs = 2;
+        std::fs::write(&path, spec.to_json()).unwrap();
         let p = path.to_str().unwrap();
         verify(&args(&["verify", "--spec", p])).unwrap();
         assert!(verify(&args(&["verify", "--spec", p, "--chaos", "swap-class"])).is_err());

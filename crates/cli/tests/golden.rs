@@ -1,5 +1,5 @@
-//! Byte-for-byte golden outputs of the `trace` and `metrics`
-//! subcommands. Both drive Poisson multicast traffic through the
+//! Byte-for-byte golden outputs of the `trace`, `metrics` and `run`
+//! subcommands. All drive Poisson multicast traffic through the
 //! workload crate's dynamic runner; these files pin what they print and
 //! write, so a change to that runner which moves a single event, latency
 //! or simulated nanosecond fails here. Regenerate a file only for a
@@ -84,4 +84,36 @@ fn trace_and_metrics_outputs_match_golden_files() {
         }
     }
     assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+}
+
+/// `mcast run --spec examples/spec_stream_cube12.json --messages 300`,
+/// plain and with `--engine-jobs 2`: the flag is accepted for
+/// compatibility and runs the same serial engine, so both print the
+/// golden bytes.
+#[test]
+fn run_stream_spec_matches_golden_file_with_and_without_engine_jobs() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let spec = root.join("../../examples/spec_stream_cube12.json");
+    let expected =
+        std::fs::read(root.join("tests/golden/run_stream_cube12_messages300.txt")).unwrap();
+    for extra in [&[][..], &["--engine-jobs", "2"][..]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_mcast"))
+            .arg("run")
+            .arg("--spec")
+            .arg(&spec)
+            .args(["--messages", "300"])
+            .args(extra)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "mcast run {extra:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(
+            out.stdout == expected,
+            "mcast run {extra:?} differs from tests/golden/run_stream_cube12_messages300.txt:\n{}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+    }
 }

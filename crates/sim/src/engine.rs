@@ -121,7 +121,7 @@ pub struct AbortedMessage {
 
 /// "No entry" sentinel of the engine's `u32` node, edge and channel
 /// fields.
-pub(crate) const NONE: u32 = u32::MAX;
+const NONE: u32 = u32::MAX;
 
 /// `Some(x)` unless `x` is the [`NONE`] sentinel.
 #[inline]
@@ -144,14 +144,9 @@ const _: () = assert!(CHANNEL_BYTES <= 40);
 /// pool indexed by handle and exist only while a channel has waiters,
 /// so queue memory follows the blocked requests, not the channel count.
 /// A drained queue keeps its buffer in the pool for the next channel
-/// that blocks.
-///
-/// The serial engine indexes its table by channel id; a window-parallel
-/// lane (`partition.rs`) holds a table of its checked-out channels
-/// indexed by position, and [`ChanTable::move_to`] carries a channel's
-/// owner and waiters between the two.
+/// that blocks. Rows are indexed by channel id.
 #[derive(Debug, Default)]
-pub(crate) struct ChanTable {
+struct ChanTable {
     slots: Vec<ChanSlot>,
     queues: Vec<VecDeque<(u32, u32)>>,
     /// Handles of empty pooled queues.
@@ -160,35 +155,22 @@ pub(crate) struct ChanTable {
 
 impl ChanTable {
     /// A table of `n` idle channels.
-    pub(crate) fn new(n: usize) -> Self {
+    fn new(n: usize) -> Self {
         ChanTable {
             slots: vec![(0, 0, 0); n],
             ..ChanTable::default()
         }
     }
 
-    /// Appends an idle row (lane checkout); returns its index.
-    pub(crate) fn push_idle(&mut self) -> usize {
-        self.slots.push((0, 0, 0));
-        self.slots.len() - 1
-    }
-
-    /// Drops every row, keeping the queue pool. Callers first move any
-    /// waiters out, so every pooled queue is free again.
-    pub(crate) fn clear(&mut self) {
-        debug_assert_eq!(self.free.len(), self.queues.len(), "waiters left behind");
-        self.slots.clear();
-    }
-
     /// The `(worm, edge)` owning channel row `i`, if any.
     #[inline]
-    pub(crate) fn owner(&self, i: usize) -> Option<(usize, usize)> {
+    fn owner(&self, i: usize) -> Option<(usize, usize)> {
         let (w, e, _) = self.slots[i];
         (w != 0).then(|| (w as usize - 1, e as usize))
     }
 
     #[inline]
-    pub(crate) fn set_owner(&mut self, i: usize, owner: Option<(usize, usize)>) {
+    fn set_owner(&mut self, i: usize, owner: Option<(usize, usize)>) {
         let (w, e) = owner.map_or((0, 0), |(w, e)| (w as u32 + 1, e as u32));
         self.slots[i].0 = w;
         self.slots[i].1 = e;
@@ -196,27 +178,16 @@ impl ChanTable {
 
     /// Waiters queued on row `i`.
     #[inline]
-    pub(crate) fn queue_len(&self, i: usize) -> usize {
+    fn queue_len(&self, i: usize) -> usize {
         match self.slots[i].2 {
             0 => 0,
             q => self.queues[q as usize - 1].len(),
         }
     }
 
-    /// The waiters on row `i`, in FIFO order.
-    pub(crate) fn waiters(&self, i: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
-        let q = match self.slots[i].2 {
-            0 => None,
-            q => Some(&self.queues[q as usize - 1]),
-        };
-        q.into_iter()
-            .flatten()
-            .map(|&(w, e)| (w as usize, e as usize))
-    }
-
     /// Appends a waiter to row `i`'s queue, taking a pooled queue if the
     /// row has none.
-    pub(crate) fn enqueue(&mut self, i: usize, w: usize, e: usize) {
+    fn enqueue(&mut self, i: usize, w: usize, e: usize) {
         if self.slots[i].2 == 0 {
             self.slots[i].2 = self.alloc_queue() + 1;
         }
@@ -225,7 +196,7 @@ impl ChanTable {
     }
 
     /// Pops row `i`'s oldest waiter; an emptied queue returns to the pool.
-    pub(crate) fn dequeue(&mut self, i: usize) -> Option<(usize, usize)> {
+    fn dequeue(&mut self, i: usize) -> Option<(usize, usize)> {
         let q = self.slots[i].2.checked_sub(1)?;
         let (w, e) = self.queues[q as usize]
             .pop_front()
@@ -235,31 +206,12 @@ impl ChanTable {
     }
 
     /// Scrubs one waiter from row `i`'s queue (message abort).
-    pub(crate) fn remove_waiter(&mut self, i: usize, w: usize, e: usize) {
+    fn remove_waiter(&mut self, i: usize, w: usize, e: usize) {
         if let Some(q) = self.slots[i].2.checked_sub(1) {
             let key = (w as u32, e as u32);
             self.queues[q as usize].retain(|&x| x != key);
             self.release_if_empty(i);
         }
-    }
-
-    /// Moves row `i`'s owner and waiters into row `j` of `dst` (which
-    /// must be idle with no waiters), leaving row `i` idle. The queue's
-    /// buffer trades places with a free one of `dst`'s pool, so neither
-    /// pool allocates once both have warmed up.
-    pub(crate) fn move_to(&mut self, i: usize, dst: &mut ChanTable, j: usize) {
-        debug_assert_eq!(dst.slots[j], (0, 0, 0), "moving onto a live row");
-        let (w, e, q) = std::mem::take(&mut self.slots[i]);
-        let q = match q.checked_sub(1) {
-            None => 0,
-            Some(q) => {
-                let h = dst.alloc_queue();
-                std::mem::swap(&mut self.queues[q as usize], &mut dst.queues[h as usize]);
-                self.free.push(q);
-                h + 1
-            }
-        };
-        dst.slots[j] = (w, e, q);
     }
 
     fn alloc_queue(&mut self) -> u32 {
@@ -286,34 +238,31 @@ const DONE: u8 = 2;
 /// group membership live in per-worm index arenas. Node, edge and
 /// channel ids are `u32` with [`NONE`] for "none" (DESIGN.md §10.2).
 #[derive(Debug, Clone)]
-pub(crate) struct EdgeState {
-    pub(crate) from: u32,
-    pub(crate) to: u32,
+struct EdgeState {
+    from: u32,
+    to: u32,
     /// Edge feeding this one (`NONE` = fed directly by the source).
-    pub(crate) upstream: u32,
+    upstream: u32,
     /// Start of this edge's slice of the worm's `children` arena.
-    pub(crate) child_start: u32,
+    child_start: u32,
     /// Number of edges fed by this edge's head node.
-    pub(crate) child_count: u32,
+    child_count: u32,
     /// Branch group this edge belongs to (siblings sharing a feed node).
-    pub(crate) group: u32,
+    group: u32,
     /// First candidate channel id for this hop, resolved at worm-build
     /// time (class copies of a link have consecutive ids). The cascade
     /// never consults the network topology after build.
-    pub(crate) cand_base: u32,
-    /// Class-independent link id (`link_base` of the hop) — the
-    /// conflict-clustering key for window-parallel execution.
-    pub(crate) link_key: u32,
+    cand_base: u32,
     /// Channel granted to this edge (`NONE` = none).
-    pub(crate) channel: u32,
+    channel: u32,
     /// The channel whose queue holds this edge's pending request
     /// (`NONE` = not waiting; stuck diagnostics + abort scrub).
-    pub(crate) queued_on: u32,
+    queued_on: u32,
     /// Flits that have fully crossed this edge.
-    pub(crate) crossed: u32,
-    pub(crate) class: ClassChoice,
+    crossed: u32,
+    class: ClassChoice,
     /// Number of candidate class copies (1 for `ClassChoice::Fixed`).
-    pub(crate) cand_count: u8,
+    cand_count: u8,
     /// [`BUSY`] (transfer in progress) and [`DONE`] (tail crossed and
     /// the channel was released).
     flags: u8,
@@ -332,7 +281,6 @@ impl EdgeState {
             child_count: 0,
             group: NONE,
             cand_base: 0,
-            link_key: 0,
             channel: NONE,
             queued_on: NONE,
             crossed: 0,
@@ -343,28 +291,28 @@ impl EdgeState {
     }
 
     #[inline]
-    pub(crate) fn upstream(&self) -> Option<usize> {
+    fn upstream(&self) -> Option<usize> {
         opt(self.upstream)
     }
 
     #[inline]
-    pub(crate) fn channel(&self) -> Option<ChannelId> {
+    fn channel(&self) -> Option<ChannelId> {
         opt(self.channel)
     }
 
     /// Whether a channel request is pending in some queue.
     #[inline]
-    pub(crate) fn waiting(&self) -> bool {
+    fn waiting(&self) -> bool {
         self.queued_on != NONE
     }
 
     #[inline]
-    pub(crate) fn busy(&self) -> bool {
+    fn busy(&self) -> bool {
         self.flags & BUSY != 0
     }
 
     #[inline]
-    pub(crate) fn done(&self) -> bool {
+    fn done(&self) -> bool {
         self.flags & DONE != 0
     }
 
@@ -379,16 +327,16 @@ impl EdgeState {
 }
 
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct GroupState {
+struct GroupState {
     /// Start of this group's slice of the worm's `group_members` arena.
-    pub(crate) start: u32,
-    pub(crate) members: u32,
-    pub(crate) owned: u32,
+    start: u32,
+    members: u32,
+    owned: u32,
 }
 
 /// How a worm moves its flits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum WormKind {
+enum WormKind {
     /// Pipelined wormhole path.
     Path,
     /// Lock-step replicated tree.
@@ -398,43 +346,41 @@ pub(crate) enum WormKind {
 }
 
 #[derive(Debug)]
-pub(crate) struct WormState {
-    pub(crate) message: MessageId,
-    pub(crate) kind: WormKind,
-    pub(crate) edges: Vec<EdgeState>,
-    pub(crate) groups: Vec<GroupState>,
+struct WormState {
+    message: MessageId,
+    kind: WormKind,
+    edges: Vec<EdgeState>,
+    groups: Vec<GroupState>,
     /// Child-edge arena: edge `e` feeds
     /// `children[e.child_start..e.child_start + e.child_count]`.
-    pub(crate) children: Vec<u32>,
+    children: Vec<u32>,
     /// Group-member arena: group `g` owns
     /// `group_members[g.start..g.start + g.members]`, ascending by edge
     /// index. Immutable for the worm's lifetime once built.
-    pub(crate) group_members: Vec<u32>,
-    pub(crate) edges_done: usize,
-    pub(crate) active: bool,
+    group_members: Vec<u32>,
+    edges_done: usize,
+    active: bool,
     /// Incarnation counter for this worm *slot*: bumped on abort so
     /// events scheduled for a torn-down worm are recognized as stale
     /// after the slot is reused (events carry the gen they were
     /// scheduled under).
-    pub(crate) gen: u32,
+    gen: u32,
     /// Set when a channel request found every copy of a hop dead — the
     /// worm can never advance and needs recovery-layer intervention.
-    pub(crate) stalled: bool,
+    stalled: bool,
     /// Staged worms: number of same-plan feeder worms that must complete
     /// before this worm requests its first channel. Zero for every other
     /// kind, and for a staged worm once released.
-    pub(crate) deps_pending: u32,
+    deps_pending: u32,
     /// Worm slots (with their injection-time `gen`) released in-cascade
     /// by this worm's completion event.
-    pub(crate) dependents: Vec<(u32, u32)>,
+    dependents: Vec<(u32, u32)>,
 }
 
 impl WormState {
     /// An inactive placeholder; `build_worm` fills slots in place so a
-    /// reused slot keeps its vec capacities (and its `gen`). Also the
-    /// stand-in left behind while window-parallel execution has a
-    /// worm's state checked out into a component (`partition.rs`).
-    pub(crate) fn vacant() -> Self {
+    /// reused slot keeps its vec capacities (and its `gen`).
+    fn vacant() -> Self {
         WormState {
             message: 0,
             kind: WormKind::Path,
@@ -454,10 +400,9 @@ impl WormState {
 
 /// Per-destination delivery slots. Single-destination unicasts — the
 /// bulk of a mixed workload — keep theirs inline instead of paying a
-/// heap allocation per message. `pub(crate)` so the window-parallel
-/// executor can buffer retired slots for canonical-order replay.
+/// heap allocation per message.
 #[derive(Debug)]
-pub(crate) enum Deliveries {
+enum Deliveries {
     One((NodeId, Option<Time>)),
     Many(Vec<(NodeId, Option<Time>)>),
 }
@@ -486,7 +431,7 @@ impl Deliveries {
 }
 
 #[derive(Debug)]
-pub(crate) struct MessageState {
+struct MessageState {
     id: MessageId,
     source: NodeId,
     injected_at: Time,
@@ -499,7 +444,7 @@ pub(crate) struct MessageState {
 }
 
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum Event {
+enum Event {
     TransferComplete {
         worm: u32,
         edge: u32,
@@ -611,21 +556,21 @@ impl RunBudget {
 /// ```
 pub struct Engine {
     config: SimConfig,
-    pub(crate) network: Network,
+    network: Network,
     /// Channel owners and waiter queues, by channel id.
-    pub(crate) chans: ChanTable,
-    pub(crate) worms: Vec<WormState>,
-    pub(crate) worm_free: Vec<usize>,
-    pub(crate) messages: Vec<Option<MessageState>>,
-    pub(crate) completed: Vec<CompletedMessage>,
+    chans: ChanTable,
+    worms: Vec<WormState>,
+    worm_free: Vec<usize>,
+    messages: Vec<Option<MessageState>>,
+    completed: Vec<CompletedMessage>,
     /// Calendar/bucket queue keyed on flit-time granularity, with a heap
     /// fallback for far-future events (DESIGN.md §10).
-    pub(crate) events: EventQueue<Event>,
-    pub(crate) now: Time,
-    pub(crate) in_flight: usize,
+    events: EventQueue<Event>,
+    now: Time,
+    in_flight: usize,
     /// Events processed by this engine instance (the machine-insensitive
     /// work metric the BENCH probes report).
-    pub(crate) steps: u64,
+    steps: u64,
     /// Optional cooperative budget; `None` (the default) keeps the run
     /// loops budget-free.
     budget: Option<RunBudget>,
@@ -647,19 +592,18 @@ pub struct Engine {
     spare_done: Vec<Vec<(NodeId, Time)>>,
     /// High-water mark of live worm slots — the memory gauge proving a
     /// streaming run's footprint tracks in-flight traffic, not message
-    /// count. Updated at worm build (injection happens between run
-    /// calls, so the gauge is engine-jobs independent).
+    /// count. Updated at worm build.
     peak_live_worms: usize,
     /// High-water mark of in-flight messages.
     peak_in_flight: usize,
     flit_time: Time,
     flits: u32,
     /// Cumulative transfer time per channel (utilization accounting).
-    pub(crate) busy_ns: Vec<Time>,
+    busy_ns: Vec<Time>,
     /// Total flit hops started (one per channel traversal of one flit) —
     /// the simulator's throughput denominator, counted unconditionally so
     /// benchmarks don't need a sink installed to read it.
-    pub(crate) flit_hops: u64,
+    flit_hops: u64,
     /// Channel whose grant/release history is traced to stderr (debug aid,
     /// set from the `MCAST_TRACE_CHAN` environment variable).
     trace_chan: Option<ChannelId>,
@@ -681,14 +625,6 @@ pub struct Engine {
     /// Inject scratch: plan-index → worm-slot map for wiring staged
     /// dependencies without a per-inject allocation.
     scratch_slots: Vec<u32>,
-    /// Window-parallel executor (DESIGN.md §15): `Some` routes
-    /// `run_until`/`run_to_quiescence` through the deterministic
-    /// window-cohort path in `partition.rs`; `None` (the default) is
-    /// the untouched serial event loop. All executor state is scratch —
-    /// between windows the engine fields are the only authority, so
-    /// `step()`-level callers (the recovery supervisor, saturation
-    /// probes) interoperate freely with windowed runs.
-    pub(crate) par: Option<crate::partition::ParallelExec>,
 }
 
 impl Engine {
@@ -728,45 +664,14 @@ impl Engine {
             peak_live_worms: 0,
             peak_in_flight: 0,
             sink: None,
-            par: None,
         }
     }
 
-    /// Sets the number of worker lanes for single-run parallelism
-    /// (DESIGN.md §15). `1` (the default) is the plain serial event
-    /// loop; `N > 1` routes `run_until`/`run_to_quiescence` through the
-    /// deterministic window-cohort executor, whose output is
-    /// bit-identical to serial. `MCAST_TRACE_CHAN` tracing needs the
-    /// serial interleaving to be readable, so it forces jobs back to 1.
-    pub fn set_engine_jobs(&mut self, jobs: usize) {
-        if jobs <= 1 || self.trace_chan.is_some() {
-            self.par = None;
-        } else {
-            self.par = Some(crate::partition::ParallelExec::new(jobs));
-        }
-    }
-
-    /// Worker lanes the run loops will use (1 = serial path).
-    pub fn engine_jobs(&self) -> usize {
-        self.par.as_ref().map_or(1, |p| p.jobs())
-    }
-
-    /// Exact work counters of the window-parallel executor since it
-    /// was installed: windows, inline vs pooled windows, conflict
-    /// components, lane tasks and pooled events (DESIGN.md §15). All
-    /// zero on a serial engine.
-    pub fn window_stats(&self) -> crate::partition::WindowStats {
-        self.par.as_ref().map(|p| p.stats()).unwrap_or_default()
-    }
-
-    /// Test hook: install the window-cohort executor even for `jobs <=
-    /// 1`, so the windowed path (cohort collection, conflict
-    /// clustering, take/merge) is exercised without needing spare
-    /// cores. Production callers use [`Engine::set_engine_jobs`].
-    #[doc(hidden)]
-    pub fn set_engine_jobs_forced(&mut self, jobs: usize) {
-        self.par = Some(crate::partition::ParallelExec::forced(jobs.max(1)));
-    }
+    /// Accepted for compatibility and ignored: every run uses the one
+    /// serial event loop. The window-parallel executor this selected
+    /// was retired (DESIGN.md §15); the method stays only while callers
+    /// outside the workspace still call it.
+    pub fn set_engine_jobs(&mut self, _jobs: usize) {}
 
     /// Installs a cooperative [`RunBudget`]: the run loops charge one
     /// step per processed event and stop at the next event boundary
@@ -791,10 +696,9 @@ impl Engine {
     }
 
     /// Charges one step to the installed budget (if any); returns
-    /// `true` when the run loop should stop. `pub(crate)`: the windowed
-    /// executor charges per popped event, exactly like the serial loop.
+    /// `true` when the run loop should stop.
     #[inline]
-    pub(crate) fn charge_budget(&mut self) -> bool {
+    fn charge_budget(&mut self) -> bool {
         if let Some(b) = &self.budget {
             if self.budget_hit || b.charge(1) {
                 self.budget_hit = true;
@@ -1008,7 +912,7 @@ impl Engine {
         }
 
         if plan.worms.is_empty() {
-            finish_message(self, msg_slot);
+            self.finish_message(msg_slot);
             return msg_slot;
         }
 
@@ -1047,7 +951,7 @@ impl Engine {
             match self.worms[widx].kind {
                 WormKind::Circuit => {
                     // The control packet claims one channel at a time.
-                    request_channel(self, widx, 0);
+                    self.request_channel(widx, 0);
                 }
                 WormKind::Path | WormKind::Tree => {
                     // Request the root-group channels. Requests never
@@ -1055,7 +959,7 @@ impl Engine {
                     // plain forward scan needs no collected list.
                     for e in 0..self.worms[widx].edges.len() {
                         if self.worms[widx].edges[e].upstream == NONE {
-                            request_channel(self, widx, e);
+                            self.request_channel(widx, e);
                         }
                     }
                 }
@@ -1245,12 +1149,9 @@ impl Engine {
             }
         }
         // Resolve every hop's channel-candidate range once, here at
-        // build time, so the event cascade never consults the network —
-        // the property that lets window-parallel components run against
-        // fully detached state (partition.rs). `link_key` is the
-        // class-independent link id used for conflict clustering. The
-        // chaos class swap (DESIGN.md §12) resolves here too, which is
-        // why it must be armed before injection.
+        // build time, so the event cascade never consults the network
+        // topology. The chaos class swap (DESIGN.md §12) resolves here
+        // too, which is why it must be armed before injection.
         //
         // INVARIANT: plans are built from the same topology as the
         // network, so every hop names an existing channel table entry; a
@@ -1263,10 +1164,6 @@ impl Engine {
                 let es = &self.worms[slot].edges[i];
                 (es.from as NodeId, es.to as NodeId, es.class)
             };
-            let link_key = self
-                .network
-                .link_base(from, to)
-                .unwrap_or_else(|| panic!("no channel {from}->{to} in network"));
             let (base, count) = match class {
                 ClassChoice::Fixed(c) => {
                     let c = if self.chaos_swap_class {
@@ -1280,13 +1177,17 @@ impl Engine {
                         .unwrap_or_else(|| panic!("channel {from}->{to} class {c} not in network"));
                     (id, 1)
                 }
-                ClassChoice::Any => (link_key, self.network.classes()),
+                ClassChoice::Any => (
+                    self.network
+                        .link_base(from, to)
+                        .unwrap_or_else(|| panic!("no channel {from}->{to} in network")),
+                    self.network.classes(),
+                ),
             };
             // Ids fit `u32`: `Network::new` bounds the channel count.
             let es = &mut self.worms[slot].edges[i];
             es.cand_base = base as u32;
             es.cand_count = count;
-            es.link_key = link_key as u32;
         }
         slot
     }
@@ -1299,16 +1200,13 @@ impl Engine {
         debug_assert!(t >= self.now, "time must not go backwards");
         self.now = t;
         self.steps += 1;
-        exec_event(self, ev);
+        self.exec_event(ev);
         true
     }
 
     /// Runs until no events remain or the simulation time would exceed
     /// `until`. Returns the number of events processed.
     pub fn run_until(&mut self, until: Time) -> usize {
-        if self.par.is_some() {
-            return crate::partition::run_windowed_until(self, until);
-        }
         let mut n = 0;
         while let Some(t) = self.events.peek_time() {
             if t > until {
@@ -1330,9 +1228,6 @@ impl Engine {
     /// or, with a [`RunBudget`] installed, that the budget ran out
     /// (check [`Engine::budget_exhausted`] to tell the two apart).
     pub fn run_to_quiescence(&mut self) -> bool {
-        if self.par.is_some() {
-            return crate::partition::run_windowed_quiesce(self);
-        }
         while self.has_events() {
             if self.charge_budget() {
                 return false;
@@ -1570,7 +1465,7 @@ impl Engine {
             for (w, e) in waiters {
                 if self.worms[w].active && self.worms[w].edges[e].waiting() {
                     self.worms[w].edges[e].queued_on = NONE;
-                    request_channel(self, w, e);
+                    self.request_channel(w, e);
                     if self.worms[w].stalled {
                         affected.insert(self.worms[w].message);
                     }
@@ -1604,7 +1499,7 @@ impl Engine {
                     self.chans.remove_waiter(c, w, e);
                 }
                 if let Some(chan) = opt(channel) {
-                    release(self, chan);
+                    self.release(chan);
                 }
             }
             self.worm_free.push(w);
@@ -1625,13 +1520,7 @@ impl Engine {
             delivered: delivered.len(),
             pending: pending.len(),
         });
-        if self.stream {
-            if let Deliveries::Many(mut v) = m.deliveries {
-                v.clear();
-                self.spare_slots.push(v);
-            }
-            self.msg_free.push(msg);
-        }
+        self.retire_slot(msg, m.deliveries);
         Some(AbortedMessage {
             id: m.id,
             source: m.source,
@@ -1640,23 +1529,6 @@ impl Engine {
             pending,
             traffic: m.traffic,
         })
-    }
-
-    /// Retires message slot `slot`, recycling its delivery buffer — the
-    /// serial half of [`ExecCtx::retire_msg`], also called by the
-    /// window-parallel merge when it replays buffered retirements in
-    /// canonical cohort order (so `msg_free` ends up in the exact order
-    /// serial execution would produce). A no-op (beyond dropping the
-    /// buffer) when streaming is off, preserving the grow-only slot ==
-    /// id invariant byte-for-byte.
-    pub(crate) fn retire_slot(&mut self, slot: usize, d: Deliveries) {
-        if self.stream {
-            if let Deliveries::Many(mut v) = d {
-                v.clear();
-                self.spare_slots.push(v);
-            }
-            self.msg_free.push(slot);
-        }
     }
 }
 
@@ -1672,580 +1544,406 @@ fn check_worm_edges(worm: usize, edges: usize) -> Result<(), SimError> {
     Ok(())
 }
 
-/// The physical timing constants the event cascade needs, detached
-/// from the engine so window-parallel component execution
-/// (`partition.rs`) can run the same cascade against checked-out state.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct SimEnv {
-    pub(crate) flit_time: Time,
-    pub(crate) flits: u32,
-    pub(crate) routing_delay_ns: u64,
-    pub(crate) buffer_flits: u32,
-    pub(crate) circuit_setup_ns: u64,
-}
-
-/// Execution context for the event cascade — the single code path
-/// behind both the serial engine (effects applied immediately) and the
-/// window-parallel component executor (effects buffered, then merged in
-/// canonical cohort order; DESIGN.md §15). Everything the cascade
-/// touches goes through this trait, which is what makes
-/// `--engine-jobs N` bit-identical to serial *by construction*: there
-/// is no second cascade implementation to drift. The serial impl is a
-/// set of `#[inline]` field accessors, so the monomorphized serial
-/// cascade compiles to the same code the former `&mut self` methods
-/// did.
-pub(crate) trait ExecCtx {
-    fn now(&self) -> Time;
-    fn env(&self) -> SimEnv;
-    fn worm(&mut self, w: usize) -> &mut WormState;
-    fn worm_ref(&self, w: usize) -> &WormState;
-    /// The table holding channel `c`, and `c`'s row in it.
-    fn chans(&mut self, c: ChannelId) -> (&mut ChanTable, usize);
-    fn chans_ref(&self, c: ChannelId) -> (&ChanTable, usize);
-    /// The `(worm, edge)` owning channel `c`, if any.
-    fn chan_owner(&self, c: ChannelId) -> Option<(usize, usize)> {
-        let (table, i) = self.chans_ref(c);
-        table.owner(i)
+/// The event cascade: one popped event, and the channel grants,
+/// releases, flit transfers and completions it sets off.
+impl Engine {
+    /// Applies one popped event: the stale-generation / inactive-worm
+    /// guards, then the transfer or request cascade.
+    fn exec_event(&mut self, ev: Event) {
+        match ev {
+            // Events for a bumped generation belong to an aborted worm
+            // whose slot may have been reused — drop them silently.
+            Event::TransferComplete { worm, edge, gen } => {
+                let (worm, edge) = (worm as usize, edge as usize);
+                let wst = &self.worms[worm];
+                if wst.gen == gen && wst.active {
+                    self.on_transfer_complete(worm, edge);
+                }
+            }
+            Event::RequestChannel { worm, edge, gen } => {
+                let (worm, edge) = (worm as usize, edge as usize);
+                let wst = &self.worms[worm];
+                if wst.gen == gen
+                    && wst.active
+                    && wst.edges[edge].channel == NONE
+                    && !wst.edges[edge].waiting()
+                {
+                    self.request_channel(worm, edge);
+                }
+            }
+        }
     }
-    /// Channel liveness. Fault state is frozen for the duration of a
-    /// window — faults are injected between run calls, never mid-event
-    /// — so the parallel executor snapshots it per component.
-    fn chan_alive(&self, c: ChannelId) -> bool;
-    fn msg(&mut self, m: MessageId) -> &mut Option<MessageState>;
-    /// Schedules an event (serial: straight into the calendar queue;
-    /// parallel: buffered, pushed in canonical cohort order so the
-    /// queue's insertion-seq tiebreaker assigns the same values serial
-    /// would).
-    fn sched(&mut self, at: Time, ev: Event);
-    /// Charges transfer time to a channel's utilization counter (a
-    /// commutative sum — merge order cannot matter).
-    fn add_busy(&mut self, c: ChannelId, dt: Time);
-    fn count_flit_hop(&mut self);
-    /// Whether a sink is installed (gates event construction).
-    fn sink_on(&self) -> bool;
-    /// Emits into the sink; a no-op when no sink is installed.
-    fn emit_ev(&mut self, ev: SimEvent);
-    /// Whether `MCAST_TRACE_CHAN` tracing targets this channel (always
-    /// false under the parallel executor, which refuses to install
-    /// itself while tracing is on).
-    fn trace_on(&self, c: ChannelId) -> bool;
-    fn push_completed(&mut self, done: CompletedMessage);
-    fn free_worm(&mut self, w: usize);
-    fn dec_in_flight(&mut self);
+
     /// Externally reported id of the live message in `slot` (equal to
     /// `slot` unless streaming mode recycled it). Sink events carry
     /// this, never the slot, so streamed and non-streamed runs emit
     /// identical event streams.
-    fn msg_id(&mut self, slot: MessageId) -> MessageId {
-        self.msg(slot).as_ref().map_or(slot, |m| m.id)
+    #[inline]
+    fn msg_id(&self, slot: MessageId) -> MessageId {
+        self.messages[slot].as_ref().map_or(slot, |m| m.id)
     }
-    /// Retires a finished message slot, recycling its delivery buffer
-    /// (serial: immediately; parallel: buffered and replayed in
-    /// canonical cohort order at merge).
-    fn retire_msg(&mut self, slot: MessageId, d: Deliveries);
-    /// An empty buffer for a completed message's delivery list —
-    /// pooled in streaming mode, freshly allocated otherwise.
-    fn take_done_buf(&mut self) -> Vec<(NodeId, Time)>;
-}
 
-impl ExecCtx for Engine {
-    #[inline]
-    fn now(&self) -> Time {
-        self.now
-    }
-    #[inline]
-    fn env(&self) -> SimEnv {
-        SimEnv {
-            flit_time: self.flit_time,
-            flits: self.flits,
-            routing_delay_ns: self.config.routing_delay_ns,
-            buffer_flits: self.config.buffer_flits,
-            circuit_setup_ns: self.config.circuit_setup_ns,
-        }
-    }
-    #[inline]
-    fn worm(&mut self, w: usize) -> &mut WormState {
-        &mut self.worms[w]
-    }
-    #[inline]
-    fn worm_ref(&self, w: usize) -> &WormState {
-        &self.worms[w]
-    }
-    #[inline]
-    fn chans(&mut self, c: ChannelId) -> (&mut ChanTable, usize) {
-        (&mut self.chans, c)
-    }
-    #[inline]
-    fn chans_ref(&self, c: ChannelId) -> (&ChanTable, usize) {
-        (&self.chans, c)
-    }
-    #[inline]
-    fn chan_alive(&self, c: ChannelId) -> bool {
-        self.network.is_alive(c)
-    }
-    #[inline]
-    fn msg(&mut self, m: MessageId) -> &mut Option<MessageState> {
-        &mut self.messages[m]
-    }
-    #[inline]
-    fn sched(&mut self, at: Time, ev: Event) {
-        self.events.push(at, ev);
-    }
-    #[inline]
-    fn add_busy(&mut self, c: ChannelId, dt: Time) {
-        self.busy_ns[c] += dt;
-    }
-    #[inline]
-    fn count_flit_hop(&mut self) {
-        self.flit_hops += 1;
-    }
-    #[inline]
-    fn sink_on(&self) -> bool {
-        self.sink.is_some()
-    }
-    #[inline]
-    fn emit_ev(&mut self, ev: SimEvent) {
-        self.emit(ev);
-    }
-    #[inline]
-    fn trace_on(&self, c: ChannelId) -> bool {
-        self.trace_chan == Some(c)
-    }
-    #[inline]
-    fn push_completed(&mut self, done: CompletedMessage) {
-        self.completed.push(done);
-    }
-    #[inline]
-    fn free_worm(&mut self, w: usize) {
-        self.worm_free.push(w);
-    }
-    #[inline]
-    fn dec_in_flight(&mut self) {
-        self.in_flight -= 1;
-    }
-    #[inline]
-    fn retire_msg(&mut self, slot: MessageId, d: Deliveries) {
-        self.retire_slot(slot, d);
-    }
-    #[inline]
-    fn take_done_buf(&mut self) -> Vec<(NodeId, Time)> {
-        if self.stream {
-            self.spare_done.pop().unwrap_or_default()
-        } else {
-            Vec::new()
-        }
-    }
-}
-
-/// Applies one popped event: the stale-generation / inactive-worm
-/// guards, then the transfer or request cascade. Shared verbatim by
-/// [`Engine::step`] and the window-parallel component executor.
-pub(crate) fn exec_event<C: ExecCtx>(cx: &mut C, ev: Event) {
-    match ev {
-        // Events for a bumped generation belong to an aborted worm
-        // whose slot may have been reused — drop them silently.
-        Event::TransferComplete { worm, edge, gen } => {
-            let (worm, edge) = (worm as usize, edge as usize);
-            let wst = cx.worm_ref(worm);
-            if wst.gen == gen && wst.active {
-                on_transfer_complete(cx, worm, edge);
+    /// Requests a channel for edge `e` of worm `w`: grabs an idle copy
+    /// if one exists, otherwise queues on the shortest queue (class 0
+    /// on ties). Candidate channel ids were resolved at worm-build time
+    /// (`cand_base`/`cand_count`), so the cascade never consults the
+    /// network topology.
+    fn request_channel(&mut self, w: usize, e: usize) {
+        let (base, count) = {
+            let es = &self.worms[w].edges[e];
+            if es.channel != NONE || es.waiting() || es.done() {
+                // Idempotence: circuit establishment and header arrival
+                // can both ask for the same edge; a second request must
+                // not enqueue a duplicate (a stale duplicate would
+                // re-grant an already-released channel to a finished
+                // worm, orphaning it forever).
+                return;
+            }
+            (es.cand_base as usize, es.cand_count as usize)
+        };
+        // Dead channels are never granted and never queued on. Grant
+        // the first live idle copy; otherwise remember the least-loaded
+        // live copy (strict `<` keeps the lowest class on queue-length
+        // ties, as the old `min_by_key` over (len, class) did).
+        let mut best: Option<(usize, ChannelId)> = None;
+        for chan in base..base + count {
+            if !self.network.is_alive(chan) {
+                continue;
+            }
+            if self.chans.owner(chan).is_none() {
+                self.grant(chan, w, e);
+                return;
+            }
+            let qlen = self.chans.queue_len(chan);
+            if best.is_none_or(|(len, _)| qlen < len) {
+                best = Some((qlen, chan));
             }
         }
-        Event::RequestChannel { worm, edge, gen } => {
-            let (worm, edge) = (worm as usize, edge as usize);
-            let wst = cx.worm_ref(worm);
-            if wst.gen == gen
-                && wst.active
-                && wst.edges[edge].channel == NONE
-                && !wst.edges[edge].waiting()
-            {
-                request_channel(cx, worm, edge);
-            }
-        }
-    }
-}
-
-/// Requests a channel for edge `e` of worm `w`: grabs an idle copy if
-/// one exists, otherwise queues on the shortest queue (class 0 on
-/// ties). Candidate channel ids were resolved at worm-build time
-/// (`cand_base`/`cand_count`), so the cascade never consults the
-/// network topology.
-pub(crate) fn request_channel<C: ExecCtx>(cx: &mut C, w: usize, e: usize) {
-    let (base, count) = {
-        let es = &cx.worm_ref(w).edges[e];
-        if es.channel != NONE || es.waiting() || es.done() {
-            // Idempotence: circuit establishment and header arrival can
-            // both ask for the same edge; a second request must not
-            // enqueue a duplicate (a stale duplicate would re-grant an
-            // already-released channel to a finished worm, orphaning
-            // it forever).
+        let Some((_, target)) = best else {
+            // Every copy of this hop is dead: the worm is wedged by
+            // hardware, not by contention — flag it stalled for the
+            // recovery layer (the plain engine then reports it via
+            // `stalled_messages`).
+            self.worms[w].stalled = true;
+            let message = self.msg_id(self.worms[w].message);
+            self.emit(SimEvent::WormStalled {
+                at: self.now,
+                message,
+            });
             return;
-        }
-        (es.cand_base as usize, es.cand_count as usize)
-    };
-    // Dead channels are never granted and never queued on. Grant the
-    // first live idle copy; otherwise remember the least-loaded live
-    // copy (strict `<` keeps the lowest class on queue-length ties,
-    // as the old `min_by_key` over (len, class) did).
-    let mut best: Option<(usize, ChannelId)> = None;
-    for chan in base..base + count {
-        if !cx.chan_alive(chan) {
-            continue;
-        }
-        if cx.chan_owner(chan).is_none() {
-            grant(cx, chan, w, e);
-            return;
-        }
-        let (table, i) = cx.chans_ref(chan);
-        let qlen = table.queue_len(i);
-        if best.is_none_or(|(len, _)| qlen < len) {
-            best = Some((qlen, chan));
-        }
-    }
-    let Some((_, target)) = best else {
-        // Every copy of this hop is dead: the worm is wedged by
-        // hardware, not by contention — flag it stalled for the
-        // recovery layer (the plain engine then reports it via
-        // `stalled_messages`).
-        cx.worm(w).stalled = true;
-        let at = cx.now();
-        let slot = cx.worm_ref(w).message;
-        let message = cx.msg_id(slot);
-        cx.emit_ev(SimEvent::WormStalled { at, message });
-        return;
-    };
-    let (table, i) = cx.chans(target);
-    table.enqueue(i, w, e);
-    cx.worm(w).edges[e].queued_on = target as u32;
-    if cx.sink_on() {
-        let at = cx.now();
-        let slot = cx.worm_ref(w).message;
-        let message = cx.msg_id(slot);
-        cx.emit_ev(SimEvent::ChannelBlocked {
-            at,
-            channel: target,
-            message,
-        });
-    }
-}
-
-fn grant<C: ExecCtx>(cx: &mut C, chan: ChannelId, w: usize, e: usize) {
-    if cx.trace_on(chan) {
-        eprintln!(
-            "t={} GRANT chan {chan} -> worm {w} edge {e} (msg {})",
-            cx.now(),
-            cx.worm_ref(w).message
-        );
-    }
-    assert!(
-        cx.chan_owner(chan).is_none(),
-        "double grant of channel {chan}"
-    );
-    debug_assert!(cx.chan_alive(chan), "granting a dead channel");
-    let (table, i) = cx.chans(chan);
-    table.set_owner(i, Some((w, e)));
-    if cx.sink_on() {
-        let at = cx.now();
-        let slot = cx.worm_ref(w).message;
-        let message = cx.msg_id(slot);
-        cx.emit_ev(SimEvent::ChannelAcquired {
-            at,
-            channel: chan,
-            message,
-        });
-    }
-    let g = cx.worm_ref(w).edges[e].group as usize;
-    {
-        let wst = cx.worm(w);
-        wst.edges[e].channel = chan as u32;
-        wst.edges[e].queued_on = NONE;
-        wst.groups[g].owned += 1;
-    }
-    if cx.worm_ref(w).kind == WormKind::Circuit {
-        // Circuit establishment: the control packet advances to the
-        // next hop after its per-hop setup time.
-        let next = e + 1;
-        if next < cx.worm_ref(w).edges.len() {
-            let gen = cx.worm_ref(w).gen;
-            cx.sched(
-                cx.now() + cx.env().circuit_setup_ns,
-                Event::RequestChannel {
-                    worm: w as u32,
-                    edge: next as u32,
-                    gen,
-                },
-            );
-        }
-    }
-    let grp = cx.worm_ref(w).groups[g];
-    if grp.owned == grp.members {
-        // Group open: all its edges may start moving flits. The
-        // member arena is immutable while the worm lives, so walk it
-        // by index (ascending edge order, as before).
-        for k in grp.start..grp.start + grp.members {
-            let i = cx.worm_ref(w).group_members[k as usize] as usize;
-            try_start(cx, w, i);
-        }
-    }
-}
-
-fn release<C: ExecCtx>(cx: &mut C, chan: ChannelId) {
-    let owner = cx.chan_owner(chan);
-    if cx.trace_on(chan) {
-        eprintln!("t={} RELEASE chan {chan} (owner {owner:?})", cx.now());
-    }
-    if cx.sink_on() {
-        if let Some((w, _)) = owner {
-            let at = cx.now();
-            let slot = cx.worm_ref(w).message;
-            let message = cx.msg_id(slot);
-            cx.emit_ev(SimEvent::ChannelReleased {
-                at,
-                channel: chan,
+        };
+        self.chans.enqueue(target, w, e);
+        self.worms[w].edges[e].queued_on = target as u32;
+        if self.sink.is_some() {
+            let message = self.msg_id(self.worms[w].message);
+            self.emit(SimEvent::ChannelBlocked {
+                at: self.now,
+                channel: target,
                 message,
             });
         }
     }
-    let (table, i) = cx.chans(chan);
-    table.set_owner(i, None);
-    if !cx.chan_alive(chan) {
-        // A channel that died while owned grants nobody once the
-        // owner lets go: re-route its queued waiters — they may have
-        // a surviving Any-class copy, or they stall for recovery.
-        let (table, i) = cx.chans(chan);
-        let waiters: Vec<(usize, usize)> = std::iter::from_fn(|| table.dequeue(i)).collect();
-        for (w, e) in waiters {
-            debug_assert!(cx.worm_ref(w).active && cx.worm_ref(w).edges[e].waiting());
-            cx.worm(w).edges[e].queued_on = NONE;
-            request_channel(cx, w, e);
-        }
-        return;
-    }
-    // Queues hold no stale entries: a waiter leaves its queue exactly
-    // when it stops waiting (granted here, scrubbed by an abort, or
-    // drained off a dead channel), and a worm cannot finish while
-    // one of its edges waits.
-    let (table, i) = cx.chans(chan);
-    if let Some((w, e)) = table.dequeue(i) {
-        debug_assert!(cx.worm_ref(w).active && cx.worm_ref(w).edges[e].waiting());
-        grant(cx, chan, w, e);
-    }
-}
 
-/// Whether edge `e` can transfer its next flit now; if so, schedule
-/// the completion event.
-fn try_start<C: ExecCtx>(cx: &mut C, w: usize, e: usize) {
-    let env = cx.env();
-    // One read-only pass over the worm decides whether the flit can
-    // move — `worms[w]`/`edges[e]` are bounds-checked once instead of
-    // once per condition (this runs several times per flit hop).
-    let wst = cx.worm_ref(w);
-    if !wst.active {
-        return;
+    fn grant(&mut self, chan: ChannelId, w: usize, e: usize) {
+        if self.trace_chan == Some(chan) {
+            eprintln!(
+                "t={} GRANT chan {chan} -> worm {w} edge {e} (msg {})",
+                self.now, self.worms[w].message
+            );
+        }
+        assert!(
+            self.chans.owner(chan).is_none(),
+            "double grant of channel {chan}"
+        );
+        debug_assert!(self.network.is_alive(chan), "granting a dead channel");
+        self.chans.set_owner(chan, Some((w, e)));
+        if self.sink.is_some() {
+            let message = self.msg_id(self.worms[w].message);
+            self.emit(SimEvent::ChannelAcquired {
+                at: self.now,
+                channel: chan,
+                message,
+            });
+        }
+        let wst = &mut self.worms[w];
+        let g = wst.edges[e].group as usize;
+        wst.edges[e].channel = chan as u32;
+        wst.edges[e].queued_on = NONE;
+        wst.groups[g].owned += 1;
+        if wst.kind == WormKind::Circuit {
+            // Circuit establishment: the control packet advances to the
+            // next hop after its per-hop setup time.
+            let next = e + 1;
+            if next < wst.edges.len() {
+                let gen = wst.gen;
+                self.events.push(
+                    self.now + self.config.circuit_setup_ns,
+                    Event::RequestChannel {
+                        worm: w as u32,
+                        edge: next as u32,
+                        gen,
+                    },
+                );
+            }
+        }
+        let grp = self.worms[w].groups[g];
+        if grp.owned == grp.members {
+            // Group open: all its edges may start moving flits. The
+            // member arena is immutable while the worm lives, so walk
+            // it by index (ascending edge order, as before).
+            for k in grp.start..grp.start + grp.members {
+                let i = self.worms[w].group_members[k as usize] as usize;
+                self.try_start(w, i);
+            }
+        }
     }
-    let es = &wst.edges[e];
-    let Some(chan) = es.channel() else { return };
-    if es.flags != 0 {
-        return; // busy or done
-    }
-    let flit = es.crossed;
-    if flit >= env.flits {
-        return;
-    }
-    let grp = wst.groups[es.group as usize];
-    if grp.owned < grp.members {
-        return; // lock-step: the branch group is not fully owned yet
-    }
-    let upstream = es.upstream();
-    // Upstream flit availability.
-    if let Some(u) = upstream {
-        if wst.edges[u].crossed <= flit {
+
+    fn release(&mut self, chan: ChannelId) {
+        let owner = self.chans.owner(chan);
+        if self.trace_chan == Some(chan) {
+            eprintln!("t={} RELEASE chan {chan} (owner {owner:?})", self.now);
+        }
+        if self.sink.is_some() {
+            if let Some((w, _)) = owner {
+                let message = self.msg_id(self.worms[w].message);
+                self.emit(SimEvent::ChannelReleased {
+                    at: self.now,
+                    channel: chan,
+                    message,
+                });
+            }
+        }
+        self.chans.set_owner(chan, None);
+        if !self.network.is_alive(chan) {
+            // A channel that died while owned grants nobody once the
+            // owner lets go: re-route its queued waiters — they may
+            // have a surviving Any-class copy, or they stall for
+            // recovery.
+            let waiters: Vec<(usize, usize)> =
+                std::iter::from_fn(|| self.chans.dequeue(chan)).collect();
+            for (w, e) in waiters {
+                debug_assert!(self.worms[w].active && self.worms[w].edges[e].waiting());
+                self.worms[w].edges[e].queued_on = NONE;
+                self.request_channel(w, e);
+            }
             return;
         }
-    } else if wst.kind == WormKind::Tree {
-        // Source-fed tree edge: the branches replicate flits from a
-        // single injection buffer of `buffer_flits` capacity, so a
-        // flit is discarded (making room for the next) only when
-        // *every* root branch has taken it — the source-side
-        // lock-step of §6.1. (Path and circuit worms stream from the
-        // source unconstrained.)
-        let mut min_taken = u32::MAX;
-        for k in grp.start..grp.start + grp.members {
-            let s = &wst.edges[wst.group_members[k as usize] as usize];
-            min_taken = min_taken.min(s.crossed + u32::from(s.busy()));
+        // Queues hold no stale entries: a waiter leaves its queue
+        // exactly when it stops waiting (granted here, scrubbed by an
+        // abort, or drained off a dead channel), and a worm cannot
+        // finish while one of its edges waits.
+        if let Some((w, e)) = self.chans.dequeue(chan) {
+            debug_assert!(self.worms[w].active && self.worms[w].edges[e].waiting());
+            self.grant(chan, w, e);
         }
-        if flit >= min_taken + env.buffer_flits {
+    }
+
+    /// Whether edge `e` can transfer its next flit now; if so, schedule
+    /// the completion event.
+    fn try_start(&mut self, w: usize, e: usize) {
+        // One read-only pass over the worm decides whether the flit can
+        // move — `worms[w]`/`edges[e]` are bounds-checked once instead
+        // of once per condition (this runs several times per flit hop).
+        let wst = &self.worms[w];
+        if !wst.active {
             return;
         }
-    }
-    // Downstream buffer space at the head node: flits that crossed e
-    // but have not left through every child yet. A flit currently on
-    // the wire of a child channel has already left the buffer (its
-    // slot frees at transfer start, as in credit-based flow control),
-    // so children mid-transfer count toward the outflow.
-    if es.child_count > 0 {
-        let mut outflow = u32::MAX;
-        for k in es.child_start..es.child_start + es.child_count {
-            let ch = &wst.edges[wst.children[k as usize] as usize];
-            outflow = outflow.min(ch.crossed + u32::from(ch.busy()));
+        let es = &wst.edges[e];
+        let Some(chan) = es.channel() else { return };
+        if es.flags != 0 {
+            return; // busy or done
         }
-        if es.crossed - outflow.min(es.crossed) >= env.buffer_flits {
+        let flit = es.crossed;
+        if flit >= self.flits {
             return;
         }
-    }
-    let kind = wst.kind;
-    let gen = wst.gen;
-    let message = wst.message;
-    // Start the transfer.
-    let dt = env.flit_time + if flit == 0 { env.routing_delay_ns } else { 0 };
-    cx.worm(w).edges[e].set_flag(BUSY, true);
-    cx.add_busy(chan, dt);
-    cx.count_flit_hop();
-    if cx.sink_on() {
-        let start = cx.now();
-        let message = cx.msg_id(message);
-        cx.emit_ev(SimEvent::FlitHop {
-            start,
-            end: start + dt,
-            channel: chan,
-            message,
-            flit,
-        });
-    }
-    cx.sched(
-        cx.now() + dt,
-        Event::TransferComplete {
-            worm: w as u32,
-            edge: e as u32,
-            gen,
-        },
-    );
-    // Starting frees a buffer slot upstream (flow-control credit at
-    // transfer start): retry the feeder, or the root-group siblings.
-    if let Some(u) = upstream {
-        try_start(cx, w, u);
-    } else if kind == WormKind::Tree {
-        try_start_siblings(cx, w, e);
-    }
-}
-
-/// Retries every group sibling of edge `e` (ascending edge index,
-/// skipping `e` itself) — the shared-buffer wakeup for root-fed tree
-/// branches. Walks the immutable member arena by index, so no
-/// sibling list is allocated.
-fn try_start_siblings<C: ExecCtx>(cx: &mut C, w: usize, e: usize) {
-    let grp = cx.worm_ref(w).groups[cx.worm_ref(w).edges[e].group as usize];
-    for k in grp.start..grp.start + grp.members {
-        let s = cx.worm_ref(w).group_members[k as usize] as usize;
-        if s != e {
-            try_start(cx, w, s);
+        let grp = wst.groups[es.group as usize];
+        if grp.owned < grp.members {
+            return; // lock-step: the branch group is not fully owned yet
         }
-    }
-}
-
-fn on_transfer_complete<C: ExecCtx>(cx: &mut C, w: usize, e: usize) {
-    // Snapshot the immutable topology of the edge (feeder, child
-    // range, worm kind) in the same pass that bumps its flit count,
-    // so the retry cascade below doesn't re-index the worm per field.
-    let (crossed, upstream, cs, cn, kind) = {
-        let wst = cx.worm(w);
+        let upstream = es.upstream();
+        // Upstream flit availability.
+        if let Some(u) = upstream {
+            if wst.edges[u].crossed <= flit {
+                return;
+            }
+        } else if wst.kind == WormKind::Tree {
+            // Source-fed tree edge: the branches replicate flits from a
+            // single injection buffer of `buffer_flits` capacity, so a
+            // flit is discarded (making room for the next) only when
+            // *every* root branch has taken it — the source-side
+            // lock-step of §6.1. (Path and circuit worms stream from
+            // the source unconstrained.)
+            let mut min_taken = u32::MAX;
+            for k in grp.start..grp.start + grp.members {
+                let s = &wst.edges[wst.group_members[k as usize] as usize];
+                min_taken = min_taken.min(s.crossed + u32::from(s.busy()));
+            }
+            if flit >= min_taken + self.config.buffer_flits {
+                return;
+            }
+        }
+        // Downstream buffer space at the head node: flits that crossed
+        // e but have not left through every child yet. A flit currently
+        // on the wire of a child channel has already left the buffer
+        // (its slot frees at transfer start, as in credit-based flow
+        // control), so children mid-transfer count toward the outflow.
+        if es.child_count > 0 {
+            let mut outflow = u32::MAX;
+            for k in es.child_start..es.child_start + es.child_count {
+                let ch = &wst.edges[wst.children[k as usize] as usize];
+                outflow = outflow.min(ch.crossed + u32::from(ch.busy()));
+            }
+            if es.crossed - outflow.min(es.crossed) >= self.config.buffer_flits {
+                return;
+            }
+        }
         let kind = wst.kind;
-        let es = &mut wst.edges[e];
-        es.set_flag(BUSY, false);
-        es.crossed += 1;
-        (
-            es.crossed,
-            es.upstream(),
-            es.child_start,
-            es.child_count,
-            kind,
-        )
-    };
-    if crossed == 1 && kind != WormKind::Circuit {
-        // Header arrived at head(e): claim the next channels. (Circuit
-        // worms acquire through the establishment chain instead.)
-        // The child arena is immutable while the worm lives, so walk
-        // it by index instead of cloning a per-flit list.
-        for k in cs..cs + cn {
-            let c = cx.worm_ref(w).children[k as usize] as usize;
-            request_channel(cx, w, c);
+        let gen = wst.gen;
+        let message = wst.message;
+        // Start the transfer.
+        let dt = self.flit_time
+            + if flit == 0 {
+                self.config.routing_delay_ns
+            } else {
+                0
+            };
+        self.worms[w].edges[e].set_flag(BUSY, true);
+        self.busy_ns[chan] += dt;
+        self.flit_hops += 1;
+        if self.sink.is_some() {
+            let start = self.now;
+            let message = self.msg_id(message);
+            self.emit(SimEvent::FlitHop {
+                start,
+                end: start + dt,
+                channel: chan,
+                message,
+                flit,
+            });
+        }
+        self.events.push(
+            self.now + dt,
+            Event::TransferComplete {
+                worm: w as u32,
+                edge: e as u32,
+                gen,
+            },
+        );
+        // Starting frees a buffer slot upstream (flow-control credit at
+        // transfer start): retry the feeder, or the root-group siblings.
+        if let Some(u) = upstream {
+            self.try_start(w, u);
+        } else if kind == WormKind::Tree {
+            self.try_start_siblings(w, e);
         }
     }
-    if crossed == cx.env().flits {
-        // Tail crossed: release the channel, record delivery.
-        let es = &mut cx.worm(w).edges[e];
-        let chan = opt(std::mem::replace(&mut es.channel, NONE)).expect("owned while crossing");
-        es.set_flag(DONE, true);
-        release(cx, chan);
-        let (head, msg_id) = {
-            let wst = cx.worm_ref(w);
-            (wst.edges[e].to as NodeId, wst.message)
+
+    /// Retries every group sibling of edge `e` (ascending edge index,
+    /// skipping `e` itself) — the shared-buffer wakeup for root-fed
+    /// tree branches. Walks the immutable member arena by index, so no
+    /// sibling list is allocated.
+    fn try_start_siblings(&mut self, w: usize, e: usize) {
+        let grp = self.worms[w].groups[self.worms[w].edges[e].group as usize];
+        for k in grp.start..grp.start + grp.members {
+            let s = self.worms[w].group_members[k as usize] as usize;
+            if s != e {
+                self.try_start(w, s);
+            }
+        }
+    }
+
+    fn on_transfer_complete(&mut self, w: usize, e: usize) {
+        // Snapshot the immutable topology of the edge (feeder, child
+        // range, worm kind) in the same pass that bumps its flit count,
+        // so the retry cascade below doesn't re-index the worm per
+        // field.
+        let (crossed, upstream, cs, cn, kind) = {
+            let wst = &mut self.worms[w];
+            let kind = wst.kind;
+            let es = &mut wst.edges[e];
+            es.set_flag(BUSY, false);
+            es.crossed += 1;
+            (
+                es.crossed,
+                es.upstream(),
+                es.child_start,
+                es.child_count,
+                kind,
+            )
         };
-        record_delivery(cx, msg_id, head);
-        cx.worm(w).edges_done += 1;
-        if cx.worm_ref(w).edges_done == cx.worm_ref(w).edges.len() {
-            cx.worm(w).active = false;
-            // Release staged dependents in-cascade, exactly like a
-            // channel release granting a queued waiter. A zero-delta
-            // scheduled event would land inside the current lookahead
-            // window and break the window-parallel executor's
-            // determinism invariant; a direct release stays inside the
-            // feeder's own event in every execution mode. Feeder and
-            // dependents share one message, so the windowed executor
-            // already clusters them into one component (plus the
-            // dependents' root links, added at classification). The
-            // drained vec goes back to keep its capacity across slot
-            // reuse.
-            let mut deps = std::mem::take(&mut cx.worm(w).dependents);
-            for &(d, g) in &deps {
-                let d = d as usize;
-                let wst = cx.worm_ref(d);
-                if wst.gen == g && wst.active && wst.deps_pending > 0 {
-                    let left = {
-                        let ws = cx.worm(d);
-                        ws.deps_pending -= 1;
-                        ws.deps_pending
-                    };
-                    if left == 0 {
-                        // A staged worm is a path worm: its single
-                        // root is edge 0.
-                        request_channel(cx, d, 0);
+        if crossed == 1 && kind != WormKind::Circuit {
+            // Header arrived at head(e): claim the next channels.
+            // (Circuit worms acquire through the establishment chain
+            // instead.) The child arena is immutable while the worm
+            // lives, so walk it by index instead of cloning a per-flit
+            // list.
+            for k in cs..cs + cn {
+                let c = self.worms[w].children[k as usize] as usize;
+                self.request_channel(w, c);
+            }
+        }
+        if crossed == self.flits {
+            // Tail crossed: release the channel, record delivery.
+            let es = &mut self.worms[w].edges[e];
+            let chan = opt(std::mem::replace(&mut es.channel, NONE)).expect("owned while crossing");
+            es.set_flag(DONE, true);
+            self.release(chan);
+            let (head, msg_slot) = {
+                let wst = &self.worms[w];
+                (wst.edges[e].to as NodeId, wst.message)
+            };
+            self.record_delivery(msg_slot, head);
+            let wst = &mut self.worms[w];
+            wst.edges_done += 1;
+            if wst.edges_done == wst.edges.len() {
+                wst.active = false;
+                // Release staged dependents in-cascade, exactly like a
+                // channel release granting a queued waiter, so a
+                // dependent's root request happens inside its feeder's
+                // own event. The drained vec goes back to keep its
+                // capacity across slot reuse.
+                let mut deps = std::mem::take(&mut wst.dependents);
+                for &(d, g) in &deps {
+                    let d = d as usize;
+                    let ds = &mut self.worms[d];
+                    if ds.gen == g && ds.active && ds.deps_pending > 0 {
+                        ds.deps_pending -= 1;
+                        if ds.deps_pending == 0 {
+                            // A staged worm is a path worm: its single
+                            // root is edge 0.
+                            self.request_channel(d, 0);
+                        }
                     }
                 }
-            }
-            deps.clear();
-            cx.worm(w).dependents = deps;
-            let slot_msg = cx.worm_ref(w).message;
-            let finished = {
-                let m = cx.msg(slot_msg).as_mut().expect("message live");
+                deps.clear();
+                self.worms[w].dependents = deps;
+                let m = self.messages[msg_slot].as_mut().expect("message live");
                 m.worms_done += 1;
-                m.worms_done == m.worms_total
-            };
-            if finished {
-                finish_message(cx, slot_msg);
+                if m.worms_done == m.worms_total {
+                    self.finish_message(msg_slot);
+                }
+                self.worm_free.push(w);
             }
-            cx.free_worm(w);
+        }
+        // Progress may unblock this edge (next flit), the upstream edge
+        // (space freed), the children (flit available), and — for root
+        // edges — the group siblings sharing the injection buffer.
+        self.try_start(w, e);
+        if let Some(u) = upstream {
+            self.try_start(w, u);
+        } else if kind == WormKind::Tree {
+            self.try_start_siblings(w, e);
+        }
+        for k in cs..cs + cn {
+            let c = self.worms[w].children[k as usize] as usize;
+            self.try_start(w, c);
         }
     }
-    // Progress may unblock this edge (next flit), the upstream edge
-    // (space freed), the children (flit available), and — for root
-    // edges — the group siblings sharing the injection buffer.
-    try_start(cx, w, e);
-    if let Some(u) = upstream {
-        try_start(cx, w, u);
-    } else if kind == WormKind::Tree {
-        try_start_siblings(cx, w, e);
-    }
-    for k in cs..cs + cn {
-        let c = cx.worm_ref(w).children[k as usize] as usize;
-        try_start(cx, w, c);
-    }
-}
 
-fn record_delivery<C: ExecCtx>(cx: &mut C, msg: MessageId, node: NodeId) {
-    let now = cx.now();
-    let (newly, id) = {
-        let m = cx.msg(msg).as_mut().expect("message live");
+    fn record_delivery(&mut self, msg: MessageId, node: NodeId) {
+        let now = self.now;
+        let m = self.messages[msg].as_mut().expect("message live");
         let mut newly = 0;
         for (d, t) in m.deliveries.slots_mut() {
             if *d == node && t.is_none() {
@@ -2254,51 +1952,68 @@ fn record_delivery<C: ExecCtx>(cx: &mut C, msg: MessageId, node: NodeId) {
             }
         }
         m.delivered_count += newly;
-        (newly, m.id)
-    };
-    if newly > 0 && cx.sink_on() {
-        cx.emit_ev(SimEvent::Delivered {
-            at: now,
-            message: id,
-            node,
-        });
+        if newly > 0 && self.sink.is_some() {
+            let message = m.id;
+            self.emit(SimEvent::Delivered {
+                at: now,
+                message,
+                node,
+            });
+        }
     }
-}
 
-fn finish_message<C: ExecCtx>(cx: &mut C, msg: MessageId) {
-    let m = cx.msg(msg).take().expect("message live");
-    let mut deliveries = cx.take_done_buf();
-    deliveries.extend(m.deliveries.slots().iter().map(|&(d, t)| {
-        (
-            d,
-            // INVARIANT: finish_message runs only when every worm
-            // completed, every plan covers its destination set,
-            // and aborted messages exit via abort_message (which
-            // reports partial delivery) — so a hole here means a
-            // plan/engine bug, not a runtime condition.
-            t.unwrap_or_else(|| panic!("destination {d} never delivered by message {}", m.id)),
-        )
-    }));
-    let completed_at = deliveries
-        .iter()
-        .map(|&(_, t)| t)
-        .max()
-        .unwrap_or(m.injected_at);
-    cx.push_completed(CompletedMessage {
-        id: m.id,
-        source: m.source,
-        injected_at: m.injected_at,
-        completed_at,
-        deliveries,
-        traffic: m.traffic,
-    });
-    cx.dec_in_flight();
-    cx.emit_ev(SimEvent::MessageCompleted {
-        at: completed_at,
-        message: m.id,
-        latency_ns: completed_at - m.injected_at,
-    });
-    cx.retire_msg(msg, m.deliveries);
+    fn finish_message(&mut self, msg: MessageId) {
+        let m = self.messages[msg].take().expect("message live");
+        let mut deliveries = if self.stream {
+            self.spare_done.pop().unwrap_or_default()
+        } else {
+            Vec::new()
+        };
+        deliveries.extend(m.deliveries.slots().iter().map(|&(d, t)| {
+            (
+                d,
+                // INVARIANT: finish_message runs only when every worm
+                // completed, every plan covers its destination set,
+                // and aborted messages exit via abort_message (which
+                // reports partial delivery) — so a hole here means a
+                // plan/engine bug, not a runtime condition.
+                t.unwrap_or_else(|| panic!("destination {d} never delivered by message {}", m.id)),
+            )
+        }));
+        let completed_at = deliveries
+            .iter()
+            .map(|&(_, t)| t)
+            .max()
+            .unwrap_or(m.injected_at);
+        self.completed.push(CompletedMessage {
+            id: m.id,
+            source: m.source,
+            injected_at: m.injected_at,
+            completed_at,
+            deliveries,
+            traffic: m.traffic,
+        });
+        self.in_flight -= 1;
+        self.emit(SimEvent::MessageCompleted {
+            at: completed_at,
+            message: m.id,
+            latency_ns: completed_at - m.injected_at,
+        });
+        self.retire_slot(msg, m.deliveries);
+    }
+
+    /// Retires message slot `slot`, recycling its delivery buffer. A
+    /// no-op (beyond dropping the buffer) when streaming is off,
+    /// preserving the grow-only slot == id invariant.
+    fn retire_slot(&mut self, slot: MessageId, d: Deliveries) {
+        if self.stream {
+            if let Deliveries::Many(mut v) = d {
+                v.clear();
+                self.spare_slots.push(v);
+            }
+            self.msg_free.push(slot);
+        }
+    }
 }
 
 impl Engine {
@@ -2874,12 +2589,11 @@ mod tests {
         );
     }
 
-    /// Waiter queues are FIFO, exist only while a channel has waiters
-    /// (an emptied queue goes back to the pool for the next channel),
-    /// and `move_to` carries owner and waiters to another table and
-    /// back intact.
+    /// Waiter queues are FIFO and exist only while a channel has
+    /// waiters: an emptied queue goes back to the pool for the next
+    /// channel that blocks.
     #[test]
-    fn chan_table_pools_queues_and_moves_rows() {
+    fn chan_table_pools_fifo_queues() {
         let mut t = ChanTable::new(4);
         assert_eq!(t.owner(2), None);
         t.set_owner(2, Some((0, 5)));
@@ -2889,22 +2603,15 @@ mod tests {
         t.enqueue(2, 9, 4);
         assert_eq!(t.queue_len(2), 3);
         t.remove_waiter(2, 3, 0);
-        assert_eq!(t.waiters(2).collect::<Vec<_>>(), [(7, 1), (9, 4)]);
-
-        let mut lane = ChanTable::default();
-        let row = lane.push_idle();
-        t.move_to(2, &mut lane, row);
-        assert_eq!((t.owner(2), t.queue_len(2)), (None, 0));
-        assert_eq!(lane.owner(row), Some((0, 5)));
-        lane.enqueue(row, 8, 2);
-        lane.move_to(row, &mut t, 2);
-        lane.clear();
+        assert_eq!(t.queue_len(2), 2);
+        t.enqueue(2, 8, 2);
 
         assert_eq!(t.owner(2), Some((0, 5)));
         assert_eq!(t.dequeue(2), Some((7, 1)));
         assert_eq!(t.dequeue(2), Some((9, 4)));
         assert_eq!(t.dequeue(2), Some((8, 2)));
         assert_eq!(t.dequeue(2), None);
+        assert_eq!(t.queue_len(2), 0);
         // Every queue is back in the pool; the next blocked channel
         // reuses one instead of growing it.
         let pooled = t.queues.len();

@@ -321,15 +321,6 @@ impl<'a> RecoveryEngine<'a> {
         &self.engine
     }
 
-    /// Sets the wrapped engine's worker-lane count (DESIGN.md §15).
-    /// Recovery supervision composes freely with space-parallel
-    /// execution: the parallel engine is bit-identical to serial, so
-    /// abort/retry decisions — which read engine state between events —
-    /// see exactly the serial state at exactly the serial times.
-    pub fn set_engine_jobs(&mut self, jobs: usize) {
-        self.engine.set_engine_jobs(jobs);
-    }
-
     /// Installs an observability sink on the wrapped engine. Beyond the
     /// engine's own events, the supervisor emits the recovery lifecycle
     /// ([`SimEvent::RecoveryAborted`] / `RecoveryRetried` /

@@ -63,16 +63,9 @@ pub struct VerifyScenario {
     pub seed: u64,
     /// Link fault rate (0.0 = healthy network).
     pub fault_rate: f64,
-    /// Worker lanes for the space-parallel engine (DESIGN.md §15).
-    /// When > 1 the optimized engine runs a *third* time under the
-    /// windowed parallel executor and its trace — including the full
-    /// recorded event stream — must match the serial optimized run bit
-    /// for bit.
-    pub engine_jobs: usize,
     /// When true the optimized engine runs an extra leg in streaming
-    /// (slot-recycling) mode — combined with `engine_jobs` lanes if
-    /// both are drawn — and its trace plus full event stream must match
-    /// the serial non-streaming run bit for bit (DESIGN.md §16).
+    /// (slot-recycling) mode, and its trace plus full event stream must
+    /// match the non-streaming run bit for bit (DESIGN.md §16).
     pub stream: bool,
 }
 
@@ -97,7 +90,6 @@ impl VerifyScenario {
             messages: self.messages,
             keep_connected: true,
         });
-        spec.engine_jobs = self.engine_jobs;
         if self.stream {
             spec.stream = Some(crate::dynamic::StreamConfig::default());
         }
@@ -130,7 +122,6 @@ impl VerifyScenario {
             messages,
             seed: spec.seed,
             fault_rate,
-            engine_jobs: spec.engine_jobs,
             stream: spec.stream.is_some(),
         })
     }
@@ -142,7 +133,6 @@ impl VerifyScenario {
         self.messages as u64 * 1_000_000
             + self.topology.num_nodes() as u64 * 1_000
             + self.destinations as u64 * 10
-            + u64::from(self.engine_jobs > 1) * 7
             + u64::from(self.stream) * 6
             + u64::from(self.fault_rate > 0.0) * 5
             + load_heaviness.min(4)
@@ -153,7 +143,7 @@ impl std::fmt::Display for VerifyScenario {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} / {} pattern={} load={}us dests={} messages={} seed={} fault={} engine-jobs={} stream={}",
+            "{} / {} pattern={} load={}us dests={} messages={} seed={} fault={} stream={}",
             self.topology,
             self.scheme,
             match self.pattern {
@@ -166,7 +156,6 @@ impl std::fmt::Display for VerifyScenario {
             self.messages,
             self.seed,
             self.fault_rate,
-            self.engine_jobs,
             self.stream,
         )
     }
@@ -255,14 +244,13 @@ pub struct RunTrace {
 
 /// Runs the injection schedule through the optimized engine, recording
 /// the observability trace; `chaos` enables the engine's test-only
-/// swapped-class bug, `engine_jobs > 1` routes execution through the
-/// space-parallel windowed executor (DESIGN.md §15). Returns the trace,
-/// the recorded events, and the plan injected under each message id.
+/// swapped-class bug, `stream` the slot-recycling mode (DESIGN.md
+/// §16). Returns the trace, the recorded events, and the plan injected
+/// under each message id.
 fn run_optimized(
     wl: &Workload,
     topo: &TopoSpec,
     chaos: bool,
-    engine_jobs: usize,
     stream: bool,
 ) -> (RunTrace, Vec<SimEvent>, Vec<Option<DeliveryPlan>>) {
     let built = topo.build();
@@ -271,7 +259,6 @@ fn run_optimized(
         SimConfig::default(),
     );
     engine.set_chaos_swap_class(chaos);
-    engine.set_engine_jobs(engine_jobs);
     engine.set_stream_mode(stream);
     let recording = Recording::new();
     engine.set_sink(Box::new(recording.clone()));
@@ -612,53 +599,21 @@ fn plans_cdg(plans: &[Option<DeliveryPlan>], classes: u8) -> Option<ChannelDepen
 
 /// Checks one scenario end to end. An empty vector means the engines
 /// agree and every invariant holds.
-///
-/// When `s.engine_jobs > 1` the optimized engine runs twice — serial
-/// and space-parallel — and the parallel run is held to a *stricter*
-/// bar than the reference comparison: the full recorded event stream
-/// must be identical, not just the aggregate trace.
 pub fn check_scenario(s: &VerifyScenario, chaos: bool) -> Result<Vec<String>, RegistryError> {
     let wl = derive_workload(s)?;
-    let (fast, events, plans) = run_optimized(&wl, &s.topology, chaos, 1, false);
+    let (fast, events, plans) = run_optimized(&wl, &s.topology, chaos, false);
     let reference = run_reference(&wl, &s.topology);
     let mut problems = compare_traces(&fast, &reference);
-    if s.engine_jobs > 1 {
-        let (par, par_events, _) = run_optimized(&wl, &s.topology, chaos, s.engine_jobs, false);
-        if par != fast {
-            problems.push(format!(
-                "parallel engine ({} jobs) trace diverges from serial: parallel {:?} vs serial {:?}",
-                s.engine_jobs, par, fast
-            ));
-        }
-        if par_events != events {
-            let first = par_events
-                .iter()
-                .zip(&events)
-                .position(|(a, b)| a != b)
-                .unwrap_or_else(|| par_events.len().min(events.len()));
-            problems.push(format!(
-                "parallel engine ({} jobs) event stream diverges from serial at event {first}: \
-                 parallel {:?} vs serial {:?} ({} vs {} events total)",
-                s.engine_jobs,
-                par_events.get(first),
-                events.get(first),
-                par_events.len(),
-                events.len()
-            ));
-        }
-    }
     if s.stream {
         // The streaming leg recycles message/worm slots internally, but
         // every externally visible output — trace AND the full event
-        // stream — must match the serial non-streaming run bit for bit.
-        // When the parallel axis is drawn too, the streamed leg runs
-        // under the windowed executor, covering both at once.
-        let (st, st_events, _) = run_optimized(&wl, &s.topology, chaos, s.engine_jobs, true);
+        // stream — must match the non-streaming run bit for bit.
+        let (st, st_events, _) = run_optimized(&wl, &s.topology, chaos, true);
         if st != fast {
             problems.push(format!(
-                "streaming engine ({} jobs) trace diverges from non-streaming: \
+                "streaming engine trace diverges from non-streaming: \
                  streamed {:?} vs plain {:?}",
-                s.engine_jobs, st, fast
+                st, fast
             ));
         }
         if st_events != events {
@@ -734,17 +689,8 @@ fn shrink_candidates(s: &VerifyScenario) -> Vec<VerifyScenario> {
             ..s.clone()
         });
     }
-    if s.engine_jobs > 1 {
-        // If the failure reproduces serially, drop the parallel leg —
-        // reproducers should not depend on thread count unless the bug
-        // genuinely lives in the windowed executor.
-        push(VerifyScenario {
-            engine_jobs: 1,
-            ..s.clone()
-        });
-    }
     if s.stream {
-        // Likewise: keep the streaming leg only when the bug needs it.
+        // Keep the streaming leg only when the bug needs it.
         push(VerifyScenario {
             stream: false,
             ..s.clone()
@@ -886,18 +832,14 @@ pub fn scenario_for_case(seed: u64, case: usize) -> VerifyScenario {
             0.0
         },
         seed: rng.gen_range(0..1u64 << 48),
-        // Drawn *after* every pre-existing axis so case seeds keep
+        // Drawn after every pre-existing axis so case seeds keep
         // producing the workloads they always did; roughly a quarter of
-        // cases exercise the space-parallel executor (jobs 2 or 4).
-        engine_jobs: match rng.gen_range(0..8u32) {
-            0 => 2,
-            1 => 4,
-            _ => 1,
+        // cases run the streaming (slot-recycling) leg.
+        stream: {
+            // Retired engine-lane draw, kept so each seed keeps its workload, stream and pattern.
+            rng.gen_range(0..8u32);
+            rng.gen_range(0..4u32) == 0
         },
-        // Drawn after every pre-existing axis (same seed rule as
-        // above); roughly a quarter of cases run the streaming
-        // (slot-recycling) leg, some of those on the parallel executor.
-        stream: rng.gen_range(0..4u32) == 0,
     };
     // Newest axis, drawn after every pre-existing one so earlier case
     // seeds keep producing the workloads they always did: roughly a
@@ -1040,27 +982,12 @@ mod tests {
     }
 
     #[test]
-    fn parallel_leg_conforms_on_sampled_cases() {
-        // Force the space-parallel third leg on a handful of drawn
-        // cases regardless of what the case RNG rolled: every one must
-        // still conform (serial-vs-reference AND parallel-vs-serial,
-        // including bit-identical event streams).
-        for case in 0..4 {
-            let mut s = scenario_for_case(7, case * 5);
-            s.engine_jobs = 4;
-            let problems = check_scenario(&s, false).unwrap_or_else(|e| panic!("{s}: {e}"));
-            assert!(problems.is_empty(), "case {case} ({s}): {problems:?}");
-        }
-    }
-
-    #[test]
     fn streaming_leg_conforms_on_sampled_cases() {
-        // Force the streaming leg on a handful of drawn cases — serial
-        // and parallel — regardless of what the case RNG rolled.
+        // Force the streaming leg on a handful of drawn cases
+        // regardless of what the case RNG rolled.
         for case in 0..4 {
             let mut s = scenario_for_case(13, case * 3);
             s.stream = true;
-            s.engine_jobs = if case % 2 == 0 { 1 } else { 4 };
             let problems = check_scenario(&s, false).unwrap_or_else(|e| panic!("{s}: {e}"));
             assert!(problems.is_empty(), "case {case} ({s}): {problems:?}");
         }
@@ -1092,7 +1019,6 @@ mod tests {
             messages: 12,
             seed: 3,
             fault_rate: 0.0,
-            engine_jobs: 1,
             stream: false,
         };
         let problems = check_scenario(&s, true).unwrap();
@@ -1141,35 +1067,8 @@ mod custom_pool_tests {
     }
 
     #[test]
-    fn nightly_case_budget_exercises_parallel_engine_enough() {
-        // Same nightly budget, second acceptance bar: a meaningful
-        // fraction of the 4096 cases must run the space-parallel third
-        // leg (engine_jobs ∈ {2, 4}), and both lane counts must appear.
-        // The draw targets 1/4 of cases; require at least 512 (half the
-        // expectation) so the bound survives RNG drift without going
-        // soft.
-        let mut parallel = 0usize;
-        let mut lanes = std::collections::HashSet::new();
-        for case in 0..4096 {
-            let s = scenario_for_case(1, case);
-            if s.engine_jobs > 1 {
-                parallel += 1;
-                lanes.insert(s.engine_jobs);
-            }
-        }
-        assert!(
-            parallel >= 512,
-            "only {parallel} of 4096 nightly cases exercise the parallel engine"
-        );
-        assert!(
-            lanes.contains(&2) && lanes.contains(&4),
-            "nightly draw must cover both 2- and 4-lane runs, got {lanes:?}"
-        );
-    }
-
-    #[test]
     fn nightly_case_budget_covers_every_modern_scheme() {
-        // Same nightly budget, third acceptance bar: the round-robin
+        // Same nightly budget, second acceptance bar: the round-robin
         // pair cycle must put each modern competitor scheme (DPM and
         // the software collectives) through the oracle at least 256
         // times a night, and the bursty phase pattern must show up as
@@ -1267,11 +1166,11 @@ mod custom_pool_tests {
     }
 
     #[test]
-    fn modern_schemes_conform_under_parallel_and_streaming() {
+    fn modern_schemes_conform_under_streaming() {
         // Pinned bit-identity check for the modern competitor schemes:
-        // on each, the 4-lane windowed executor and the streaming
-        // (slot-recycling) leg must reproduce the serial event stream
-        // bit for bit, under the bursty phase pattern.
+        // on each, the streaming (slot-recycling) leg must reproduce
+        // the non-streaming event stream bit for bit, under the bursty
+        // phase pattern.
         for name in ["dpm", "binomial", "recursive-doubling", "binomial-reliable"] {
             for topo in ["mesh:5x3", "cube:3"] {
                 let s = VerifyScenario {
@@ -1283,7 +1182,6 @@ mod custom_pool_tests {
                     messages: 12,
                     seed: 99,
                     fault_rate: 0.0,
-                    engine_jobs: 4,
                     stream: true,
                 };
                 let problems = check_scenario(&s, false).unwrap_or_else(|e| panic!("{s}: {e}"));

@@ -108,10 +108,9 @@ pub struct DynamicConfig {
     /// it is spent or cancelled and the result carries
     /// [`DynamicResult::budget_exhausted`].
     pub budget: Option<mcast_sim::engine::RunBudget>,
-    /// Worker lanes for single-run parallelism (DESIGN.md §15):
-    /// `1` — the default — is the serial event loop; `N > 1` routes the
-    /// engine through the deterministic window-cohort executor whose
-    /// output is bit-identical to serial.
+    /// Accepted for compatibility and ignored: every run uses the one
+    /// serial event loop (the window-parallel executor this selected
+    /// was retired, DESIGN.md §15).
     pub engine_jobs: usize,
 }
 
@@ -393,7 +392,6 @@ pub fn run_dynamic_with_sink<T: Topology + ?Sized>(
     if let Some(b) = &cfg.budget {
         engine.set_budget(b.clone());
     }
-    engine.set_engine_jobs(cfg.engine_jobs);
     let n = topo.num_nodes();
     let mut source = cfg
         .traffic_source(n)
@@ -628,27 +626,6 @@ mod tests {
     }
 
     #[test]
-    fn engine_jobs_bit_identical_to_serial() {
-        let mesh = Mesh2D::new(8, 8);
-        let router = DualPathRouter::mesh(mesh);
-        let mut cfg = quick_cfg();
-        cfg.destinations = 6;
-        cfg.mean_interarrival_ns = 120_000.0; // contended but below saturation
-        let serial = run_dynamic(&mesh, &router, &cfg);
-        cfg.engine_jobs = 4;
-        let par = run_dynamic(&mesh, &router, &cfg);
-        assert_eq!(serial.engine_steps, par.engine_steps);
-        assert_eq!(serial.flit_hops, par.flit_hops);
-        assert_eq!(serial.sim_time_ns, par.sim_time_ns);
-        assert_eq!(serial.mean_latency_us, par.mean_latency_us);
-        assert_eq!(serial.completed, par.completed);
-        assert_eq!(
-            format!("{:?}", serial.latency_hist_ns),
-            format!("{:?}", par.latency_hist_ns)
-        );
-    }
-
-    #[test]
     fn streaming_ci_rule_matches_run_dynamic_bitwise() {
         // With neither a message count nor a duration, the streaming
         // runner uses the batch-means stopping rule — and with a
@@ -695,30 +672,6 @@ mod tests {
         );
         assert!(r.peak_live_worms > 0);
         assert_eq!(r.latency_hist_ns.count() as usize, r.completed - cfg.warmup);
-    }
-
-    #[test]
-    fn streaming_engine_jobs_bit_identical_to_serial() {
-        let mesh = Mesh2D::new(8, 8);
-        let router = DualPathRouter::mesh(mesh);
-        let mut cfg = quick_cfg();
-        cfg.destinations = 6;
-        cfg.mean_interarrival_ns = 120_000.0;
-        let stream = StreamConfig {
-            messages: Some(1_500),
-            max_in_flight: 96,
-            ..StreamConfig::default()
-        };
-        let serial = run_dynamic_stream(&mesh, &router, &cfg, &stream);
-        cfg.engine_jobs = 4;
-        let par = run_dynamic_stream(&mesh, &router, &cfg, &stream);
-        assert_eq!(serial.engine_steps, par.engine_steps);
-        assert_eq!(serial.flit_hops, par.flit_hops);
-        assert_eq!(serial.sim_time_ns, par.sim_time_ns);
-        assert_eq!(serial.mean_latency_us, par.mean_latency_us);
-        assert_eq!(serial.completed, par.completed);
-        assert_eq!(serial.peak_in_flight, par.peak_in_flight);
-        assert_eq!(serial.peak_live_worms, par.peak_live_worms);
     }
 
     #[test]

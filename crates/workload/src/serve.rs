@@ -167,11 +167,6 @@ pub struct ServeConfig {
     /// Threads each job's sweep may use (kept at 1 by default so the
     /// worker pool, not the sweep, is the parallelism unit).
     pub sweep_jobs: usize,
-    /// Override for every spec's single-run engine lanes (DESIGN.md
-    /// §15); 0 honors whatever each spec declares. Safe to force: the
-    /// parallel engine is bit-identical to serial, so cached results
-    /// keyed by spec bytes stay valid.
-    pub engine_jobs: usize,
     /// Retry discipline for transient failures.
     pub retry: RetryPolicy,
     /// Fault injection (`None` in production).
@@ -186,7 +181,6 @@ impl Default for ServeConfig {
             deadline_ms: 0,
             step_budget: 0,
             sweep_jobs: 1,
-            engine_jobs: 0,
             retry: RetryPolicy::default(),
             chaos: None,
         }
@@ -814,11 +808,8 @@ impl JobServer {
             }
             ChaosAction::None => {}
         }
-        let mut spec = ExperimentSpec::from_json(spec_text)
+        let spec = ExperimentSpec::from_json(spec_text)
             .map_err(|e| AttemptError::permanent(format!("spec rejected: {e}")))?;
-        if self.cfg.engine_jobs > 0 {
-            spec.engine_jobs = self.cfg.engine_jobs;
-        }
         let rows = spec
             .run_sweep_with_budget(self.cfg.sweep_jobs.max(1), Some(budget.clone()))
             .map_err(|e| AttemptError::permanent(format!("spec rejected: {e}")))?;
@@ -1214,38 +1205,6 @@ mod tests {
         assert_eq!(status, SubmitStatus::Cached);
         assert_eq!(server.cached_result(&spec).unwrap(), result);
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn engine_jobs_override_preserves_result_bytes() {
-        // Forcing the space-parallel engine on every job must not
-        // change a single result byte — that is what makes the
-        // override safe under the spec-bytes-keyed result cache.
-        let spec = tiny_spec("par", 31, 600.0).to_json();
-        let serial_dir = test_dir("par-serial");
-        let serial = JobServer::open(&serial_dir, ServeConfig::default()).unwrap();
-        serial.submit_text(&spec).unwrap();
-        serial.run_until_drained();
-        let serial_result = serial.cached_result(&spec).expect("serial completed");
-
-        let par_dir = test_dir("par-forced");
-        let cfg = ServeConfig {
-            engine_jobs: 4,
-            ..ServeConfig::default()
-        };
-        let par = JobServer::open(&par_dir, cfg).unwrap();
-        par.submit_text(&spec).unwrap();
-        par.run_until_drained();
-        let ledger = par.ledger();
-        assert!(ledger.balanced(), "{ledger}");
-        assert_eq!(ledger.completed, 1);
-        assert_eq!(
-            par.cached_result(&spec).expect("parallel completed"),
-            serial_result,
-            "engine_jobs=4 result bytes diverged from serial"
-        );
-        std::fs::remove_dir_all(&serial_dir).ok();
-        std::fs::remove_dir_all(&par_dir).ok();
     }
 
     #[test]

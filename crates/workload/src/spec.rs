@@ -174,10 +174,11 @@ pub struct ExperimentSpec {
     /// Give branch nodes virtual-cut-through replication buffers (one
     /// message worth) instead of single-flit lock-step buffers.
     pub vct_buffers: bool,
-    /// Worker lanes for single-run parallelism inside each engine
-    /// (DESIGN.md §15). `1` — the default, omitted from JSON — is the
-    /// serial event loop; `N > 1` is bit-identical to serial, so this
-    /// knob never changes results, only wall-clock.
+    /// Accepted for compatibility and ignored: every engine runs the
+    /// one serial event loop (the window-parallel executor this
+    /// selected was retired, DESIGN.md §15). `1` — the default — is
+    /// omitted from JSON, and 0 is still rejected, so spec bytes and
+    /// the `serve` cache keys derived from them are unchanged.
     pub engine_jobs: usize,
     /// Optional streaming section: message, duration and in-flight
     /// bounds for every point (DESIGN.md §16). `None` runs each point
@@ -227,7 +228,6 @@ impl ExperimentSpec {
             max_in_flight_per_node: self.stopping.max_in_flight_per_node,
             seed: self.seed,
             pattern: self.traffic_pattern(),
-            engine_jobs: self.engine_jobs,
             ..DynamicConfig::default()
         };
         if self.vct_buffers {

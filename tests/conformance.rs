@@ -107,7 +107,6 @@ fn injected_class_swap_bug_is_caught_and_shrunk() {
         messages: 16,
         seed: 11,
         fault_rate: 0.0,
-        engine_jobs: 1,
         stream: true,
     };
     assert!(
