@@ -21,6 +21,19 @@ use std::path::Path;
 use mcast_bench::{experiment_ids, load_baseline_probes, run_experiment, PerfRecorder, Scale};
 use mcast_workload::resolve_jobs;
 
+const USAGE: &str =
+    "usage: figures [--smoke | --scale smoke|full] [--jobs <N>] [--experiment <ID>] [<ID> ...]";
+
+/// Prints `msg`, the usage line and the experiment ids, then exits 2 —
+/// before any experiment runs or `results/` is touched.
+fn usage_error(msg: &str) -> ! {
+    eprintln!(
+        "figures: {msg}\n{USAGE}\nexperiments: {}",
+        experiment_ids().join(" ")
+    );
+    std::process::exit(2);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut smoke = false;
@@ -30,16 +43,30 @@ fn main() {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--smoke" => smoke = true,
-            "--scale" => smoke = it.next().map(String::as_str) == Some("smoke"),
-            "--jobs" => jobs = it.next().and_then(|v| v.parse::<usize>().ok()),
-            "--experiment" => ids.extend(it.next().cloned()),
-            id if !id.starts_with("--") => ids.push(id.to_string()),
-            other => eprintln!("warning: ignoring unknown flag {other}"),
+            "--scale" => match it.next().map(String::as_str) {
+                Some("smoke") => smoke = true,
+                Some("full") => smoke = false,
+                other => usage_error(&format!("--scale takes smoke or full, got {other:?}")),
+            },
+            "--jobs" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
+                Some(n) => jobs = Some(n),
+                None => usage_error("--jobs takes a number"),
+            },
+            "--experiment" => match it.next() {
+                Some(id) => ids.push(id.clone()),
+                None => usage_error("--experiment takes an id"),
+            },
+            flag if flag.starts_with('-') => usage_error(&format!("unknown flag {flag}")),
+            id => ids.push(id.to_string()),
         }
+    }
+    let known = experiment_ids();
+    if let Some(bad) = ids.iter().find(|id| !known.contains(&id.as_str())) {
+        usage_error(&format!("unknown experiment id {bad:?}"));
     }
     let scale = if smoke { Scale::smoke() } else { Scale::full() };
     let ids: Vec<String> = if ids.is_empty() {
-        experiment_ids().into_iter().map(String::from).collect()
+        known.into_iter().map(String::from).collect()
     } else {
         ids
     };

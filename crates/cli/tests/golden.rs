@@ -38,6 +38,21 @@ const CASES: &[(&str, &str, Option<&str>)] = &[
          --latency-csv latency.csv",
         Some("latency.csv"),
     ),
+    // Every delivery instant of a k = 64 multi-path run and of a
+    // lock-step dc-tree run: the trace holds one `deliver` event per
+    // destination, at the first tail crossing into it.
+    (
+        "trace_mesh10x10_multipath_k64_messages4.json",
+        "trace --topology mesh:10x10 --algorithm multi-path --dests 64 --messages 4 --seed 5 \
+         --out trace.json",
+        Some("trace.json"),
+    ),
+    (
+        "trace_mesh8x8_dctree_uniform8_seed3.json",
+        "trace --topology mesh:8x8 --algorithm dc-tree --pattern uniform --dests 12 \
+         --messages 8 --seed 3 --out trace.json",
+        Some("trace.json"),
+    ),
     // Zero messages inject nothing and quiesce at time zero.
     (
         "metrics_mesh8x8_messages0.txt",

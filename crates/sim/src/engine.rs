@@ -134,10 +134,10 @@ fn opt(x: u32) -> Option<usize> {
 /// waiters, so a fresh table is one zeroed allocation.
 type ChanSlot = (u32, u32, u32);
 
-/// Per-channel engine state in bytes: the table row plus the busy-time
-/// counter (DESIGN.md §10.2).
-const CHANNEL_BYTES: usize = size_of::<ChanSlot>() + size_of::<Time>();
-const _: () = assert!(CHANNEL_BYTES <= 40);
+/// Per-channel engine state in bytes: the table row and nothing else
+/// (DESIGN.md §10.2). Busy time is a sink's job (`obs::Metrics`).
+const CHANNEL_BYTES: usize = size_of::<ChanSlot>();
+const _: () = assert!(CHANNEL_BYTES <= 12);
 
 /// Channel ownership and FIFO waiter queues (DESIGN.md §10.2). The
 /// per-channel part is one dense `u32` row; waiter queues live in a
@@ -234,21 +234,30 @@ impl ChanTable {
 const BUSY: u8 = 1;
 const DONE: u8 = 2;
 
-/// One edge of a worm. Flat (no per-edge heap allocation): child and
-/// group membership live in per-worm index arenas. Node, edge and
-/// channel ids are `u32` with [`NONE`] for "none" (DESIGN.md §10.2).
+/// One edge of a worm. Flat (no per-edge heap allocation): a tree's
+/// child and group membership live in per-worm index arenas, and a
+/// chain worm (path, staged or circuit) needs none, since edge `e`'s
+/// only child is `e + 1`. Node, edge and channel ids are `u32` with
+/// [`NONE`] for "none" (DESIGN.md §10.2).
 #[derive(Debug, Clone)]
 struct EdgeState {
     from: u32,
     to: u32,
     /// Edge feeding this one (`NONE` = fed directly by the source).
     upstream: u32,
-    /// Start of this edge's slice of the worm's `children` arena.
+    /// Start of this edge's child range ([`WormState::child`]): a slice
+    /// of the `children` arena for a tree, the child edge itself for a
+    /// chain.
     child_start: u32,
     /// Number of edges fed by this edge's head node.
     child_count: u32,
-    /// Branch group this edge belongs to (siblings sharing a feed node).
+    /// Branch group this edge belongs to (siblings sharing a feed node);
+    /// `NONE` on a path worm, whose every edge is a group of its own.
     group: u32,
+    /// The message's delivery slot for this edge's head node, resolved
+    /// at worm build (`NONE` = not a destination). The tail crossing
+    /// records it if no earlier tail has.
+    dest: u32,
     /// First candidate channel id for this hop, resolved at worm-build
     /// time (class copies of a link have consecutive ids). The cascade
     /// never consults the network topology after build.
@@ -280,6 +289,7 @@ impl EdgeState {
             child_start: 0,
             child_count: 0,
             group: NONE,
+            dest: NONE,
             cand_base: 0,
             channel: NONE,
             queued_on: NONE,
@@ -328,7 +338,7 @@ impl EdgeState {
 
 #[derive(Debug, Clone, Copy)]
 struct GroupState {
-    /// Start of this group's slice of the worm's `group_members` arena.
+    /// Start of this group's member range ([`WormState::member`]).
     start: u32,
     members: u32,
     owned: u32,
@@ -337,7 +347,7 @@ struct GroupState {
 /// How a worm moves its flits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum WormKind {
-    /// Pipelined wormhole path.
+    /// Pipelined wormhole path (plain or staged).
     Path,
     /// Lock-step replicated tree.
     Tree,
@@ -350,13 +360,17 @@ struct WormState {
     message: MessageId,
     kind: WormKind,
     edges: Vec<EdgeState>,
+    /// Branch groups: a tree's, or a circuit's one whole-circuit group.
+    /// Empty for a path worm.
     groups: Vec<GroupState>,
-    /// Child-edge arena: edge `e` feeds
+    /// Tree child-edge arena: edge `e` feeds
     /// `children[e.child_start..e.child_start + e.child_count]`.
+    /// Empty for chain worms.
     children: Vec<u32>,
-    /// Group-member arena: group `g` owns
+    /// Tree group-member arena: group `g` owns
     /// `group_members[g.start..g.start + g.members]`, ascending by edge
-    /// index. Immutable for the worm's lifetime once built.
+    /// index. Immutable for the worm's lifetime once built. Empty for
+    /// chain worms: a circuit's one group is edges `0..n`.
     group_members: Vec<u32>,
     edges_done: usize,
     active: bool,
@@ -394,6 +408,28 @@ impl WormState {
             stalled: false,
             deps_pending: 0,
             dependents: Vec::new(),
+        }
+    }
+
+    /// Edge index at position `k` of an edge's child range: an arena
+    /// lookup for a tree, `k` itself for a chain worm.
+    #[inline]
+    fn child(&self, k: u32) -> usize {
+        if self.kind == WormKind::Tree {
+            self.children[k as usize] as usize
+        } else {
+            k as usize
+        }
+    }
+
+    /// Edge index at position `k` of a group's member range: an arena
+    /// lookup for a tree, `k` itself for a circuit (members `0..n`).
+    #[inline]
+    fn member(&self, k: u32) -> usize {
+        if self.kind == WormKind::Tree {
+            self.group_members[k as usize] as usize
+        } else {
+            k as usize
         }
     }
 }
@@ -439,8 +475,6 @@ struct MessageState {
     worms_total: usize,
     worms_done: usize,
     traffic: usize,
-    /// Deliveries recorded so far.
-    delivered_count: usize,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -598,15 +632,10 @@ pub struct Engine {
     peak_in_flight: usize,
     flit_time: Time,
     flits: u32,
-    /// Cumulative transfer time per channel (utilization accounting).
-    busy_ns: Vec<Time>,
     /// Total flit hops started (one per channel traversal of one flit) —
     /// the simulator's throughput denominator, counted unconditionally so
     /// benchmarks don't need a sink installed to read it.
     flit_hops: u64,
-    /// Channel whose grant/release history is traced to stderr (debug aid,
-    /// set from the `MCAST_TRACE_CHAN` environment variable).
-    trace_chan: Option<ChannelId>,
     /// Test-only injected bug (DESIGN.md §12): when set, the channel-class
     /// check is swapped — `ClassChoice::Fixed(c)` resolves to the mirrored
     /// class `classes - 1 - c`. Exists so the conformance harness can
@@ -620,6 +649,10 @@ pub struct Engine {
     /// Sized to the node count; touched entries are reset after each
     /// build so no per-message map allocation happens.
     scratch_feeder: Vec<u32>,
+    /// Worm-build scratch: node → the message's delivery slot (`NONE` =
+    /// not a destination). Filled from the plan's destinations for the
+    /// builds of one inject and reset right after, like `scratch_feeder`.
+    scratch_dest: Vec<u32>,
     /// Worm-build scratch: group keys and arena cursors.
     scratch_idx: Vec<u32>,
     /// Inject scratch: plan-index → worm-slot map for wiring staged
@@ -634,14 +667,11 @@ impl Engine {
         Engine {
             flit_time: config.flit_time_ns(),
             flits: config.flits_per_message(),
-            busy_ns: vec![0; network.num_channels()],
             flit_hops: 0,
-            trace_chan: std::env::var("MCAST_TRACE_CHAN")
-                .ok()
-                .and_then(|v| v.parse().ok()),
             chaos_swap_class: false,
             events: EventQueue::new(config.flit_time_ns()),
             scratch_feeder: vec![u32::MAX; network.num_nodes()],
+            scratch_dest: vec![NONE; network.num_nodes()],
             scratch_idx: Vec::new(),
             scratch_slots: Vec::new(),
             config,
@@ -837,6 +867,13 @@ impl Engine {
     /// Returns its handle — equal to the externally reported id unless
     /// streaming mode recycled a slot ([`Engine::set_stream_mode`]).
     /// Zero-worm plans complete immediately.
+    ///
+    /// `plan.destinations` must be distinct, as [`MulticastSet::new`]
+    /// makes them: each edge resolves its head node to one delivery
+    /// slot at build. [`Engine::inject_checked`] reports a repeat as
+    /// [`SimError::DuplicateDestination`]; here it is a caller bug.
+    ///
+    /// [`MulticastSet::new`]: mcast_core::model::MulticastSet::new
     pub fn inject(&mut self, plan: &DeliveryPlan) -> MessageId {
         let id = self.next_message_id;
         self.next_message_id += 1;
@@ -861,7 +898,6 @@ impl Engine {
             worms_total: plan.worms.len(),
             worms_done: 0,
             traffic,
-            delivered_count: 0,
         };
         let msg_slot = match self.msg_free.pop() {
             Some(slot) => {
@@ -894,15 +930,13 @@ impl Engine {
             let now = self.now;
             let m = self.messages[msg_slot].as_mut().expect("just inserted");
             let source = m.source;
-            let mut newly = 0;
-            for (d, t) in m.deliveries.slots_mut() {
-                if *d == source {
-                    *t = Some(now);
-                    newly += 1;
-                }
-            }
-            m.delivered_count += newly;
-            if newly > 0 {
+            if let Some((_, t)) = m
+                .deliveries
+                .slots_mut()
+                .iter_mut()
+                .find(|(d, _)| *d == source)
+            {
+                *t = Some(now);
                 self.emit(SimEvent::Delivered {
                     at: now,
                     message: id,
@@ -922,9 +956,16 @@ impl Engine {
         // building touches no channel or event state.
         let mut slots = std::mem::take(&mut self.scratch_slots);
         slots.clear();
+        for (i, &d) in plan.destinations.iter().enumerate() {
+            debug_assert!(self.scratch_dest[d] == NONE, "destination {d} listed twice");
+            self.scratch_dest[d] = i as u32;
+        }
         for w in &plan.worms {
             let widx = self.build_worm(msg_slot, w);
             slots.push(widx as u32);
+        }
+        for &d in &plan.destinations {
+            self.scratch_dest[d] = NONE;
         }
         for (i, pw) in plan.worms.iter().enumerate() {
             if let PlanWorm::Staged(s) = pw {
@@ -1022,15 +1063,11 @@ impl Engine {
                 assert!(p.nodes.len() >= 2, "path worm needs at least one hop");
                 let hops = p.nodes.len() - 1;
                 for (i, win) in p.nodes.windows(2).enumerate() {
-                    let has_child = i + 1 < hops;
-                    if has_child {
-                        w.children.push(i as u32 + 1);
-                    }
                     let upstream = if i == 0 { NONE } else { i as u32 - 1 };
+                    // A chain needs no arena: edge i's one child is i + 1.
                     w.edges.push(EdgeState {
-                        child_start: i as u32,
-                        child_count: u32::from(has_child),
-                        group: i as u32, // every path edge is its own group
+                        child_start: i as u32 + 1,
+                        child_count: u32::from(i + 1 < hops),
                         ..EdgeState::new(win[0], win[1], p.class, upstream)
                     });
                 }
@@ -1085,31 +1122,22 @@ impl Engine {
         }
         // Group assignment: siblings sharing the same feeding edge (or the
         // root) form one branch group — the nCUBE-2 all-or-nothing
-        // acquisition unit.
+        // acquisition unit. A path edge is a group of its own, open the
+        // moment it is granted, so a path worm keeps no groups.
         match kind {
             WormKind::Circuit => {
-                // The whole circuit is one all-or-nothing reservation unit.
-                let n = w.edges.len() as u32;
+                // The whole circuit is one all-or-nothing reservation
+                // unit; its members are edges `0..n`.
                 w.groups.push(GroupState {
                     start: 0,
-                    members: n,
+                    members: w.edges.len() as u32,
                     owned: 0,
                 });
-                for i in 0..n {
-                    w.edges[i as usize].group = 0;
-                    w.group_members.push(i);
+                for es in w.edges.iter_mut() {
+                    es.group = 0;
                 }
             }
-            WormKind::Path => {
-                for i in 0..w.edges.len() as u32 {
-                    w.groups.push(GroupState {
-                        start: i,
-                        members: 1,
-                        owned: 0,
-                    });
-                    w.group_members.push(i);
-                }
-            }
+            WormKind::Path => {}
             WormKind::Tree => {
                 // `scratch_idx[upstream + 1]` (0 = root-fed) = group id;
                 // first occurrence creates the group, matching the old
@@ -1148,10 +1176,11 @@ impl Engine {
                 }
             }
         }
-        // Resolve every hop's channel-candidate range once, here at
-        // build time, so the event cascade never consults the network
-        // topology. The chaos class swap (DESIGN.md §12) resolves here
-        // too, which is why it must be armed before injection.
+        // Resolve every hop's channel-candidate range and delivery slot
+        // once, here at build time, so the event cascade never consults
+        // the network topology or scans the destination list. The chaos
+        // class swap (DESIGN.md §12) resolves here too, which is why it
+        // must be armed before injection.
         //
         // INVARIANT: plans are built from the same topology as the
         // network, so every hop names an existing channel table entry; a
@@ -1185,9 +1214,11 @@ impl Engine {
                 ),
             };
             // Ids fit `u32`: `Network::new` bounds the channel count.
+            let dest = self.scratch_dest[to];
             let es = &mut self.worms[slot].edges[i];
             es.cand_base = base as u32;
             es.cand_count = count;
+            es.dest = dest;
         }
         slot
     }
@@ -1235,21 +1266,6 @@ impl Engine {
             self.step();
         }
         self.in_flight == 0
-    }
-
-    /// Cumulative transfer (busy) time per channel, in nanoseconds —
-    /// utilization accounting for hot-spot analysis (§7.2).
-    pub fn channel_busy_ns(&self) -> &[Time] {
-        &self.busy_ns
-    }
-
-    /// Utilization of a channel over the elapsed simulation time (0..=1).
-    pub fn channel_utilization(&self, chan: ChannelId) -> f64 {
-        if self.now == 0 {
-            0.0
-        } else {
-            self.busy_ns[chan] as f64 / self.now as f64
-        }
     }
 
     /// Pending channel requests per active worm: `(message, from, to)`
@@ -1366,9 +1382,11 @@ impl Engine {
 
     /// Like [`Engine::inject`], but validates the plan against the
     /// channel table and the current fault state first: unknown hops,
-    /// hops whose channels all died, and empty worms become a
-    /// [`SimError`] instead of a panic deep in the event loop.
+    /// hops whose channels all died, empty worms and destinations that
+    /// are repeated or not in the network become a [`SimError`] instead
+    /// of a panic deep in the event loop.
     pub fn inject_checked(&mut self, plan: &DeliveryPlan) -> Result<MessageId, SimError> {
+        self.check_destinations(&plan.destinations)?;
         for (i, w) in plan.worms.iter().enumerate() {
             check_worm_edges(i, w.num_edges())?;
             match w {
@@ -1402,6 +1420,28 @@ impl Engine {
             }
         }
         Ok(self.inject(plan))
+    }
+
+    /// Rejects the first destination that is not a node of the network
+    /// or that `dests` lists twice. Marks nodes in `scratch_dest` and
+    /// leaves it clear again.
+    fn check_destinations(&mut self, dests: &[NodeId]) -> Result<(), SimError> {
+        let bad = dests
+            .iter()
+            .find_map(|&node| match self.scratch_dest.get_mut(node) {
+                None => Some(SimError::UnknownDestination { node }),
+                Some(m) if *m != NONE => Some(SimError::DuplicateDestination { node }),
+                Some(m) => {
+                    *m = 0;
+                    None
+                }
+            });
+        for &d in dests {
+            if let Some(m) = self.scratch_dest.get_mut(d) {
+                *m = NONE;
+            }
+        }
+        bad.map_or(Ok(()), Err)
     }
 
     fn check_hop(&self, from: NodeId, to: NodeId, class: ClassChoice) -> Result<(), SimError> {
@@ -1645,12 +1685,6 @@ impl Engine {
     }
 
     fn grant(&mut self, chan: ChannelId, w: usize, e: usize) {
-        if self.trace_chan == Some(chan) {
-            eprintln!(
-                "t={} GRANT chan {chan} -> worm {w} edge {e} (msg {})",
-                self.now, self.worms[w].message
-            );
-        }
         assert!(
             self.chans.owner(chan).is_none(),
             "double grant of channel {chan}"
@@ -1666,9 +1700,14 @@ impl Engine {
             });
         }
         let wst = &mut self.worms[w];
-        let g = wst.edges[e].group as usize;
         wst.edges[e].channel = chan as u32;
         wst.edges[e].queued_on = NONE;
+        if wst.kind == WormKind::Path {
+            // A path edge is its own branch group: granted means open.
+            self.try_start(w, e);
+            return;
+        }
+        let g = wst.edges[e].group as usize;
         wst.groups[g].owned += 1;
         if wst.kind == WormKind::Circuit {
             // Circuit establishment: the control packet advances to the
@@ -1689,22 +1728,18 @@ impl Engine {
         let grp = self.worms[w].groups[g];
         if grp.owned == grp.members {
             // Group open: all its edges may start moving flits. The
-            // member arena is immutable while the worm lives, so walk
+            // member range is immutable while the worm lives, so walk
             // it by index (ascending edge order, as before).
             for k in grp.start..grp.start + grp.members {
-                let i = self.worms[w].group_members[k as usize] as usize;
+                let i = self.worms[w].member(k);
                 self.try_start(w, i);
             }
         }
     }
 
     fn release(&mut self, chan: ChannelId) {
-        let owner = self.chans.owner(chan);
-        if self.trace_chan == Some(chan) {
-            eprintln!("t={} RELEASE chan {chan} (owner {owner:?})", self.now);
-        }
         if self.sink.is_some() {
-            if let Some((w, _)) = owner {
+            if let Some((w, _)) = self.chans.owner(chan) {
                 let message = self.msg_id(self.worms[w].message);
                 self.emit(SimEvent::ChannelReleased {
                     at: self.now,
@@ -1757,9 +1792,13 @@ impl Engine {
         if flit >= self.flits {
             return;
         }
-        let grp = wst.groups[es.group as usize];
-        if grp.owned < grp.members {
-            return; // lock-step: the branch group is not fully owned yet
+        // A granted path edge's group (itself) is open; trees and
+        // circuits wait in lock-step until their group is fully owned.
+        if wst.kind != WormKind::Path {
+            let grp = wst.groups[es.group as usize];
+            if grp.owned < grp.members {
+                return;
+            }
         }
         let upstream = es.upstream();
         // Upstream flit availability.
@@ -1774,6 +1813,7 @@ impl Engine {
             // *every* root branch has taken it — the source-side
             // lock-step of §6.1. (Path and circuit worms stream from
             // the source unconstrained.)
+            let grp = wst.groups[es.group as usize];
             let mut min_taken = u32::MAX;
             for k in grp.start..grp.start + grp.members {
                 let s = &wst.edges[wst.group_members[k as usize] as usize];
@@ -1791,7 +1831,7 @@ impl Engine {
         if es.child_count > 0 {
             let mut outflow = u32::MAX;
             for k in es.child_start..es.child_start + es.child_count {
-                let ch = &wst.edges[wst.children[k as usize] as usize];
+                let ch = &wst.edges[wst.child(k)];
                 outflow = outflow.min(ch.crossed + u32::from(ch.busy()));
             }
             if es.crossed - outflow.min(es.crossed) >= self.config.buffer_flits {
@@ -1809,7 +1849,6 @@ impl Engine {
                 0
             };
         self.worms[w].edges[e].set_flag(BUSY, true);
-        self.busy_ns[chan] += dt;
         self.flit_hops += 1;
         if self.sink.is_some() {
             let start = self.now;
@@ -1879,7 +1918,7 @@ impl Engine {
             // lives, so walk it by index instead of cloning a per-flit
             // list.
             for k in cs..cs + cn {
-                let c = self.worms[w].children[k as usize] as usize;
+                let c = self.worms[w].child(k);
                 self.request_channel(w, c);
             }
         }
@@ -1889,11 +1928,10 @@ impl Engine {
             let chan = opt(std::mem::replace(&mut es.channel, NONE)).expect("owned while crossing");
             es.set_flag(DONE, true);
             self.release(chan);
-            let (head, msg_slot) = {
-                let wst = &self.worms[w];
-                (wst.edges[e].to as NodeId, wst.message)
-            };
-            self.record_delivery(msg_slot, head);
+            let msg_slot = self.worms[w].message;
+            if let Some(slot) = opt(self.worms[w].edges[e].dest) {
+                self.record_delivery(msg_slot, slot);
+            }
             let wst = &mut self.worms[w];
             wst.edges_done += 1;
             if wst.edges_done == wst.edges.len() {
@@ -1936,24 +1974,23 @@ impl Engine {
             self.try_start_siblings(w, e);
         }
         for k in cs..cs + cn {
-            let c = self.worms[w].children[k as usize] as usize;
+            let c = self.worms[w].child(k);
             self.try_start(w, c);
         }
     }
 
-    fn record_delivery(&mut self, msg: MessageId, node: NodeId) {
+    /// Records delivery slot `slot` of message `msg` at the current
+    /// time unless an earlier tail (of any of its worms) already did.
+    fn record_delivery(&mut self, msg: MessageId, slot: usize) {
         let now = self.now;
         let m = self.messages[msg].as_mut().expect("message live");
-        let mut newly = 0;
-        for (d, t) in m.deliveries.slots_mut() {
-            if *d == node && t.is_none() {
-                *t = Some(now);
-                newly += 1;
-            }
+        let (node, t) = &mut m.deliveries.slots_mut()[slot];
+        if t.is_some() {
+            return;
         }
-        m.delivered_count += newly;
-        if newly > 0 && self.sink.is_some() {
-            let message = m.id;
+        *t = Some(now);
+        if self.sink.is_some() {
+            let (message, node) = (m.id, *node);
             self.emit(SimEvent::Delivered {
                 at: now,
                 message,
@@ -2618,6 +2655,128 @@ mod tests {
         assert_eq!(t.free.len(), pooled);
         t.enqueue(0, 1, 1);
         assert_eq!(t.queues.len(), pooled);
+    }
+
+    #[test]
+    fn inject_checked_rejects_repeated_and_unknown_destinations() {
+        use crate::error::SimError;
+        let mut e = engine_4x4();
+        let plan = path_plan(vec![0, 1, 2, 3], vec![3, 1, 3]);
+        assert_eq!(
+            e.inject_checked(&plan),
+            Err(SimError::DuplicateDestination { node: 3 })
+        );
+        let plan = path_plan(vec![0, 1, 2, 3], vec![3, 16, 1]);
+        assert_eq!(
+            e.inject_checked(&plan),
+            Err(SimError::UnknownDestination { node: 16 })
+        );
+        assert_eq!(e.in_flight(), 0, "rejected plans leave nothing behind");
+        // The screen leaves its node map clear: distinct destinations,
+        // including the ones just rejected, inject and deliver.
+        let id = e
+            .inject_checked(&path_plan(vec![0, 1, 2, 3], vec![3, 1]))
+            .unwrap();
+        assert!(e.run_to_quiescence());
+        let done = e.take_completed();
+        assert_eq!(done[0].id, id);
+        assert_eq!(done[0].deliveries.len(), 2);
+    }
+
+    #[test]
+    fn pass_through_tail_delivers_before_the_assigned_worm_arrives() {
+        // Worm A streams 0 -> 1 -> 2 -> 3 and passes through destination
+        // 2; worm B reaches 2 the long way. Node 2 counts as delivered
+        // when A's tail crosses into it, long before B arrives, and it is
+        // delivered once.
+        let mut e = engine_4x4();
+        let cfg = *e.config();
+        let rec = mcast_obs::Recording::new();
+        e.set_sink(Box::new(rec.clone()));
+        e.inject(&DeliveryPlan {
+            source: 0,
+            destinations: vec![2, 3],
+            worms: vec![
+                PlanWorm::Path(PlanPath {
+                    nodes: vec![0, 1, 2, 3],
+                    class: ClassChoice::Any,
+                }),
+                PlanWorm::Path(PlanPath {
+                    nodes: vec![0, 4, 5, 6, 2],
+                    class: ClassChoice::Any,
+                }),
+            ],
+        });
+        assert!(e.run_to_quiescence());
+        let done = e.take_completed();
+        let (ft, hop) = (
+            cfg.flit_time_ns(),
+            cfg.flit_time_ns() + cfg.routing_delay_ns,
+        );
+        let single = cfg.routing_delay_ns + ft * cfg.flits_per_message() as u64;
+        // A's tail enters node 2 one flit time before it reaches 3.
+        let first = single + 2 * hop - ft;
+        assert_eq!(first, 7350);
+        assert_eq!(done[0].deliveries, vec![(2, first), (3, single + 2 * hop)]);
+        assert_eq!(done[0].completed_at, single + 2 * hop);
+        // B's tail crosses 6 -> 2 two hops later.
+        let b_last = e
+            .network()
+            .id_of(mcast_topology::Channel::with_class(6, 2, 0))
+            .unwrap();
+        let events = rec.events();
+        let b_arrival = events
+            .iter()
+            .filter_map(|ev| match *ev {
+                SimEvent::FlitHop { end, channel, .. } if channel == b_last => Some(end),
+                _ => None,
+            })
+            .max();
+        assert_eq!(b_arrival, Some(single + 3 * hop));
+        let delivered: Vec<NodeId> = events
+            .iter()
+            .filter_map(|ev| match *ev {
+                SimEvent::Delivered { node, .. } => Some(node),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(delivered, vec![2, 3]);
+    }
+
+    #[test]
+    fn tree_and_circuit_deliveries_are_pinned() {
+        // An x-first tree and a three-destination circuit contending on
+        // one 4x4 mesh: every delivery slot of both kinds of worm, pinned
+        // to the simulated nanosecond.
+        let m = Mesh2D::new(4, 4);
+        let mc = MulticastSet::new(5, [0, 3, 6, 12, 15]);
+        let tree = mcast_core::xfirst::xfirst_tree(&m, &mc);
+        let mut e = engine_4x4();
+        e.inject(&DeliveryPlan::from_tree(&mc, &tree, ClassChoice::Any));
+        e.inject(&DeliveryPlan {
+            source: 4,
+            destinations: vec![6, 7, 11],
+            worms: vec![PlanWorm::Circuit(PlanPath {
+                nodes: vec![4, 5, 6, 7, 11],
+                class: ClassChoice::Any,
+            })],
+        });
+        assert!(e.run_to_quiescence());
+        let done: Vec<(Time, Vec<(NodeId, Time)>)> = e
+            .take_completed()
+            .into_iter()
+            .map(|c| (c.completed_at, c.deliveries))
+            .collect();
+        assert_eq!(
+            done,
+            vec![
+                (
+                    8200,
+                    vec![(0, 7350), (3, 7800), (6, 7000), (12, 7750), (15, 8200)]
+                ),
+                (16100, vec![(6, 15300), (7, 15700), (11, 16100)]),
+            ]
+        );
     }
 
     #[test]

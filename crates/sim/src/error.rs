@@ -48,6 +48,17 @@ pub enum SimError {
         /// Its edge count.
         edges: usize,
     },
+    /// A plan lists a destination more than once (a hand-built
+    /// [`crate::plan::DeliveryPlan`]; `MulticastSet::new` dedups).
+    DuplicateDestination {
+        /// The repeated destination.
+        node: NodeId,
+    },
+    /// A plan names a destination that is not a node of the network.
+    UnknownDestination {
+        /// The out-of-range destination.
+        node: NodeId,
+    },
     /// The referenced message is not live in the engine (already
     /// completed, aborted, or never injected).
     MessageNotLive(MessageId),
@@ -71,6 +82,12 @@ impl fmt::Display for SimError {
                     f,
                     "worm {worm} has {edges} edges, over the u32 edge-id limit"
                 )
+            }
+            SimError::DuplicateDestination { node } => {
+                write!(f, "plan lists destination {node} more than once")
+            }
+            SimError::UnknownDestination { node } => {
+                write!(f, "destination {node} is not a node of the network")
             }
             SimError::MessageNotLive(id) => write!(f, "message {id} is not live"),
         }

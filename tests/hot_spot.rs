@@ -6,6 +6,7 @@
 //! We run one busy multicasting node amid background traffic and compare
 //! the utilization of the source's outgoing channels between dual-path
 //! (at most two of them busy per message) and multi-path (up to four).
+//! Busy time comes from a `Metrics` sink, which sums every `FlitHop`.
 
 use mcast::prelude::*;
 
@@ -15,6 +16,8 @@ use mcast::prelude::*;
 fn hot_node_out_utilization(router: &dyn MulticastRouter, mesh: &Mesh2D) -> f64 {
     let hot = mesh.node(4, 4);
     let mut engine = Engine::new(Network::new(mesh, 1), SimConfig::default());
+    let metrics = Metrics::new();
+    engine.set_sink(Box::new(metrics.clone()));
     let mut gen = MulticastGen::new(mesh.num_nodes(), 0x407);
     let mut t = 0u64;
     for _ in 0..300 {
@@ -33,11 +36,12 @@ fn hot_node_out_utilization(router: &dyn MulticastRouter, mesh: &Mesh2D) -> f64 
         t += 60_000;
     }
     assert!(engine.run_to_quiescence(), "path routing drains");
+    let snap = metrics.snapshot();
     let mut total = 0.0;
     let mut n = 0usize;
     for nb in mesh.neighbors(hot) {
         for id in engine.network().ids_of_link(hot, nb) {
-            total += engine.channel_utilization(id);
+            total += snap.utilization(id);
             n += 1;
         }
     }
@@ -60,17 +64,20 @@ fn utilization_accounting_is_sane() {
     let mesh = Mesh2D::new(4, 4);
     let router = DualPathRouter::mesh(mesh);
     let mut engine = Engine::new(Network::new(&mesh, 1), SimConfig::default());
+    let metrics = Metrics::new();
+    engine.set_sink(Box::new(metrics.clone()));
     let mc = MulticastSet::new(0, vec![15]);
     engine.inject(&router.plan(&mc));
     assert!(engine.run_to_quiescence());
     // Exactly the path's channels have nonzero busy time; each carried
     // all flits once.
-    let busy = engine.channel_busy_ns();
-    let nonzero = busy.iter().filter(|&&b| b > 0).count();
+    let snap = metrics.snapshot();
+    let nonzero = snap.channels.iter().filter(|c| c.busy_ns > 0).count();
     let plan = router.plan(&mc);
     assert_eq!(nonzero, plan.traffic());
-    for (id, &b) in busy.iter().enumerate() {
-        let u = engine.channel_utilization(id);
+    for (id, c) in snap.channels.iter().enumerate() {
+        let b = c.busy_ns;
+        let u = snap.utilization(id);
         assert!((0.0..=1.0).contains(&u), "utilization {u} out of range");
         if b > 0 {
             let cfg = engine.config();
