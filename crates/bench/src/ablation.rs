@@ -356,11 +356,16 @@ pub fn ablation_throughput(scale: &Scale) -> Table {
             *sim,
             5,
         );
-        t.push_row(vec![
-            router.name().to_string(),
-            f(r.messages_per_ms, 2),
-            f(r.mean_latency_us, 1),
-        ]);
+        t.push_row(match r {
+            Ok(r) => vec![
+                router.name().to_string(),
+                f(r.messages_per_ms, 2),
+                f(r.mean_latency_us, 1),
+            ],
+            // A deadlock-free scheme never wedges; if one does, the
+            // table says so instead of aborting the whole run.
+            Err(e) => vec![router.name().to_string(), e.to_string(), "-".into()],
+        });
     }
     t
 }

@@ -1,9 +1,11 @@
-//! Byte-for-byte golden outputs of the `trace`, `metrics` and `run`
-//! subcommands. All drive Poisson multicast traffic through the
-//! workload crate's dynamic runner; these files pin what they print and
-//! write, so a change to that runner which moves a single event, latency
-//! or simulated nanosecond fails here. Regenerate a file only for a
-//! deliberate output change, by running its command below.
+//! Byte-for-byte golden outputs of the `trace`, `metrics`, `run` and
+//! `route` subcommands. The first three drive Poisson multicast traffic
+//! through the workload crate's dynamic runner; these files pin what they
+//! print and write, so a change to that runner which moves a single
+//! event, latency or simulated nanosecond fails here. The `route` files
+//! pin the paths of the label-routed schemes hop by hop. Regenerate a
+//! file only for a deliberate output change, by running its command
+//! below.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -52,6 +54,52 @@ const CASES: &[(&str, &str, Option<&str>)] = &[
         "trace --topology mesh:8x8 --algorithm dc-tree --pattern uniform --dests 12 \
          --messages 8 --seed 3 --out trace.json",
         Some("trace.json"),
+    ),
+    // The label-routed path schemes through `mcast route`: the §6.2.2
+    // running example (source (3,2), Figs 6.13, 6.16 and 6.17), a
+    // 12-destination multicast on a 6-cube (both on the closed-form `R`)
+    // and a 3D mesh, whose labeling takes the generic `R`.
+    (
+        "route_mesh6x6_dual-path_example.txt",
+        "route --topology mesh:6x6 --algorithm dual-path --source 15 \
+         --dests 0,12,30,19,34,5,11,23,29",
+        None,
+    ),
+    (
+        "route_mesh6x6_multi-path_example.txt",
+        "route --topology mesh:6x6 --algorithm multi-path --source 15 \
+         --dests 0,12,30,19,34,5,11,23,29",
+        None,
+    ),
+    (
+        "route_mesh6x6_fixed-path_example.txt",
+        "route --topology mesh:6x6 --algorithm fixed-path --source 15 \
+         --dests 0,12,30,19,34,5,11,23,29",
+        None,
+    ),
+    (
+        "route_cube6_dual-path_k12.txt",
+        "route --topology cube:6 --algorithm dual-path --source 21 \
+         --dests 0,3,7,12,18,25,33,40,46,51,58,63",
+        None,
+    ),
+    (
+        "route_cube6_multi-path_k12.txt",
+        "route --topology cube:6 --algorithm multi-path --source 21 \
+         --dests 0,3,7,12,18,25,33,40,46,51,58,63",
+        None,
+    ),
+    (
+        "route_cube6_fixed-path_k12.txt",
+        "route --topology cube:6 --algorithm fixed-path --source 21 \
+         --dests 0,3,7,12,18,25,33,40,46,51,58,63",
+        None,
+    ),
+    (
+        "route_mesh3x3x3_multi-path.txt",
+        "route --topology mesh:3x3x3 --algorithm multi-path --source 13 \
+         --dests 0,26,7,19,22,5,2,24",
+        None,
     ),
     // Zero messages inject nothing and quiesce at time zero.
     (

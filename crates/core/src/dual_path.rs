@@ -18,42 +18,55 @@
 use mcast_topology::{Labeling, NodeId, Topology};
 
 use crate::model::{MulticastRoute, MulticastSet, PathRoute};
-use crate::routing_fn::r_extend;
+use crate::routing_fn::r_extend_through;
 
 /// Message preparation (Fig 6.11): `(D_H ascending, D_L descending)` by
 /// label.
 pub fn prepare(labeling: &Labeling, mc: &MulticastSet) -> (Vec<NodeId>, Vec<NodeId>) {
-    let l0 = labeling.label(mc.source);
-    let mut high: Vec<NodeId> = mc
-        .destinations
-        .iter()
-        .copied()
-        .filter(|&d| labeling.label(d) > l0)
-        .collect();
-    let mut low: Vec<NodeId> = mc
-        .destinations
-        .iter()
-        .copied()
-        .filter(|&d| labeling.label(d) < l0)
-        .collect();
-    high.sort_by_key(|&d| labeling.label(d));
-    low.sort_by_key(|&d| std::cmp::Reverse(labeling.label(d)));
+    let (mut high, mut low) = (Vec::new(), Vec::new());
+    split_into(labeling, mc, &mut high, &mut low);
     (high, low)
 }
 
-/// Routes one path from `start` through `sorted_dests` (label-monotone
-/// order) using the routing function `R` (Fig 6.12 run at every node).
-pub fn route_path<T: Topology + ?Sized>(
+/// [`prepare`] into reused buffers. Sorting labels and mapping them back
+/// through `node_at` gives the same order as sorting nodes by label.
+fn split_into(
+    labeling: &Labeling,
+    mc: &MulticastSet,
+    high: &mut Vec<NodeId>,
+    low: &mut Vec<NodeId>,
+) {
+    let l0 = labeling.label(mc.source);
+    high.clear();
+    low.clear();
+    for &d in &mc.destinations {
+        let l = labeling.label(d);
+        if l > l0 {
+            high.push(l);
+        } else if l < l0 {
+            low.push(l);
+        }
+    }
+    high.sort_unstable();
+    low.sort_unstable_by(|a, b| b.cmp(a));
+    for l in high.iter_mut().chain(low.iter_mut()) {
+        *l = labeling.node_at(*l);
+    }
+}
+
+/// Sets `nodes` to `prefix` extended by `R` through `sorted_dests`;
+/// `neighbors` is working space.
+pub(crate) fn route_into<T: Topology + ?Sized>(
     topo: &T,
     labeling: &Labeling,
-    start: NodeId,
+    prefix: &[NodeId],
     sorted_dests: &[NodeId],
-) -> PathRoute {
-    let mut nodes = vec![start];
-    for &d in sorted_dests {
-        r_extend(topo, labeling, &mut nodes, d);
-    }
-    PathRoute::new(nodes)
+    nodes: &mut Vec<NodeId>,
+    neighbors: &mut Vec<NodeId>,
+) {
+    nodes.clear();
+    nodes.extend_from_slice(prefix);
+    r_extend_through(topo, labeling, nodes, sorted_dests, neighbors);
 }
 
 /// Runs dual-path routing, returning the multicast star (at most two
@@ -79,71 +92,65 @@ pub fn dual_path<T: Topology + ?Sized>(
     labeling: &Labeling,
     mc: &MulticastSet,
 ) -> Vec<PathRoute> {
-    let (high, low) = prepare(labeling, mc);
     let mut paths = Vec::with_capacity(2);
-    if !high.is_empty() {
-        paths.push(route_path(topo, labeling, mc.source, &high));
-    }
-    if !low.is_empty() {
-        paths.push(route_path(topo, labeling, mc.source, &low));
-    }
+    dual_path_into(topo, labeling, mc, &mut RouteScratch::new(), |nodes| {
+        paths.push(PathRoute::new(nodes.to_vec()))
+    });
     paths
 }
 
-/// Reusable working buffers for [`dual_path_into`]: the `D_H`/`D_L`
-/// destination splits and the node sequence under construction. Holding
-/// one scratch across a long run makes per-message routing allocation-
-/// free once the buffers reach steady-state capacity (DESIGN.md §16).
+/// Reusable working buffers for the allocation-free `_into` forms of the
+/// label-routed schemes (dual-path, multi-path, vc-multi-path): the
+/// `D_H`/`D_L` destination splits, the source's neighbors, the
+/// sub-multicasts of a multi-path preparation and the node sequence
+/// under construction. Holding one scratch across a long run makes
+/// per-message routing allocation-free once the buffers reach
+/// steady-state capacity (DESIGN.md §16).
 #[derive(Debug, Default)]
-pub struct DualPathScratch {
-    high: Vec<NodeId>,
-    low: Vec<NodeId>,
-    nodes: Vec<NodeId>,
+pub struct RouteScratch {
+    pub(crate) high: Vec<NodeId>,
+    pub(crate) low: Vec<NodeId>,
+    pub(crate) nodes: Vec<NodeId>,
+    pub(crate) neighbors: Vec<NodeId>,
+    pub(crate) subs: crate::multi_path::SubList,
 }
 
-impl DualPathScratch {
+impl RouteScratch {
     /// Creates an empty scratch.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Splits `mc` into `D_H` and `D_L` ([`prepare`]) in place.
+    pub(crate) fn split(&mut self, labeling: &Labeling, mc: &MulticastSet) {
+        split_into(labeling, mc, &mut self.high, &mut self.low);
     }
 }
 
 /// Allocation-free dual-path routing: computes the same paths as
 /// [`dual_path`] but builds them inside `scratch` and hands each
 /// finished node sequence to `emit` as a borrowed slice (high side
-/// first, empty sides omitted — identical order and contents to
-/// `dual_path`).
+/// first, empty sides omitted).
 pub fn dual_path_into<T: Topology + ?Sized>(
     topo: &T,
     labeling: &Labeling,
     mc: &MulticastSet,
-    scratch: &mut DualPathScratch,
+    scratch: &mut RouteScratch,
     mut emit: impl FnMut(&[NodeId]),
 ) {
-    let DualPathScratch { high, low, nodes } = scratch;
-    let l0 = labeling.label(mc.source);
-    high.clear();
-    low.clear();
-    for &d in &mc.destinations {
-        let l = labeling.label(d);
-        if l > l0 {
-            high.push(d);
-        } else if l < l0 {
-            low.push(d);
-        }
-    }
-    high.sort_by_key(|&d| labeling.label(d));
-    low.sort_by_key(|&d| std::cmp::Reverse(labeling.label(d)));
+    scratch.split(labeling, mc);
+    let RouteScratch {
+        high,
+        low,
+        nodes,
+        neighbors,
+        ..
+    } = scratch;
     for side in [&*high, &*low] {
-        if side.is_empty() {
-            continue;
+        if !side.is_empty() {
+            route_into(topo, labeling, &[mc.source], side, nodes, neighbors);
+            emit(nodes);
         }
-        nodes.clear();
-        nodes.push(mc.source);
-        for &d in side {
-            r_extend(topo, labeling, nodes, d);
-        }
-        emit(nodes);
     }
 }
 
@@ -262,7 +269,7 @@ mod tests {
     #[test]
     fn dual_path_into_matches_dual_path_exactly() {
         let (m, l, mc) = example_6_13();
-        let mut scratch = DualPathScratch::new();
+        let mut scratch = RouteScratch::new();
         // Same scratch reused across messages: results must still match
         // the allocating path node-for-node, in the same order.
         for mc in [

@@ -8,6 +8,8 @@
 //! simple hardware, more traffic: §7.2 shows it matches dual-path only for
 //! large destination sets.
 
+use std::ops::RangeInclusive;
+
 use mcast_topology::{Labeling, Topology};
 
 use crate::model::{MulticastRoute, MulticastSet, PathRoute};
@@ -18,31 +20,31 @@ pub fn fixed_path<T: Topology + ?Sized>(
     labeling: &Labeling,
     mc: &MulticastSet,
 ) -> Vec<PathRoute> {
-    let l0 = labeling.label(mc.source);
-    let max_l = mc
-        .destinations
-        .iter()
-        .map(|&d| labeling.label(d))
-        .filter(|&l| l > l0)
-        .max();
-    let min_l = mc
-        .destinations
-        .iter()
-        .map(|&d| labeling.label(d))
-        .filter(|&l| l < l0)
-        .min();
+    let (up, down) = fixed_path_spans(labeling, mc);
+    let path = labeling.path();
     let mut paths = Vec::with_capacity(2);
-    if let Some(hi) = max_l {
-        paths.push(PathRoute::new(
-            (l0..=hi).map(|l| labeling.node_at(l)).collect(),
-        ));
+    if let Some(up) = up {
+        paths.push(PathRoute::new(path[up].to_vec()));
     }
-    if let Some(lo) = min_l {
-        paths.push(PathRoute::new(
-            (lo..=l0).rev().map(|l| labeling.node_at(l)).collect(),
-        ));
+    if let Some(down) = down {
+        paths.push(PathRoute::new(path[down].iter().rev().copied().collect()));
     }
     paths
+}
+
+/// The label ranges fixed-path walks, as indices into
+/// [`Labeling::path`]: `ℓ(u0)..=max ℓ(D_H)` upward, and
+/// `min ℓ(D_L)..=ℓ(u0)` walked downward (in reverse). A side with no
+/// destinations is `None`.
+pub fn fixed_path_spans(
+    labeling: &Labeling,
+    mc: &MulticastSet,
+) -> (Option<RangeInclusive<usize>>, Option<RangeInclusive<usize>>) {
+    let l0 = labeling.label(mc.source);
+    let labels = || mc.destinations.iter().map(|&d| labeling.label(d));
+    let max_l = labels().filter(|&l| l > l0).max();
+    let min_l = labels().filter(|&l| l < l0).min();
+    (max_l.map(|hi| l0..=hi), min_l.map(|lo| lo..=l0))
 }
 
 /// Convenience wrapper returning a [`MulticastRoute::Star`].

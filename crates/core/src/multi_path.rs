@@ -11,7 +11,7 @@
 
 use mcast_topology::{Labeling, Mesh2D, NodeId, Topology};
 
-use crate::dual_path::prepare as dual_prepare;
+use crate::dual_path::{route_into, RouteScratch};
 use crate::model::{MulticastRoute, MulticastSet, PathRoute};
 
 /// A partitioned sub-multicast: the neighbor the copy is first sent to and
@@ -24,15 +24,72 @@ pub struct SubMulticast {
     pub dests: Vec<NodeId>,
 }
 
+/// The sub-multicasts of one preparation, flat: each first hop with the
+/// range of `dests` it carries.
+#[derive(Debug, Default)]
+pub(crate) struct SubList {
+    subs: Vec<(NodeId, std::ops::Range<usize>)>,
+    dests: Vec<NodeId>,
+}
+
+impl SubList {
+    fn clear(&mut self) {
+        self.subs.clear();
+        self.dests.clear();
+    }
+
+    /// Appends a sub-multicast via `via` unless `dests` is empty.
+    fn push(&mut self, via: NodeId, dests: impl IntoIterator<Item = NodeId>) {
+        let start = self.dests.len();
+        self.dests.extend(dests);
+        if self.dests.len() > start {
+            self.subs.push((via, start..self.dests.len()));
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (NodeId, &[NodeId])> {
+        self.subs
+            .iter()
+            .map(|(via, r)| (*via, &self.dests[r.clone()]))
+    }
+
+    fn to_owned(&self) -> Vec<SubMulticast> {
+        self.iter()
+            .map(|(via, dests)| SubMulticast {
+                via,
+                dests: dests.to_vec(),
+            })
+            .collect()
+    }
+}
+
 /// Mesh message preparation (Fig 6.14): split `D_H` by the x-coordinates
 /// of the two higher-labeled neighbors (one horizontal, one vertical), and
 /// `D_L` symmetrically. Destination lists stay sorted in label order.
 pub fn prepare_mesh(mesh: &Mesh2D, labeling: &Labeling, mc: &MulticastSet) -> Vec<SubMulticast> {
-    let (high, low) = dual_prepare(labeling, mc);
-    let mut subs = Vec::with_capacity(4);
-    subs.extend(split_half_mesh(mesh, labeling, mc.source, &high, true));
-    subs.extend(split_half_mesh(mesh, labeling, mc.source, &low, false));
-    subs
+    let mut scratch = RouteScratch::new();
+    prepare_mesh_into(mesh, labeling, mc, &mut scratch);
+    scratch.subs.to_owned()
+}
+
+/// [`prepare_mesh`] into `scratch`, for [`route_subs_into`].
+pub fn prepare_mesh_into(
+    mesh: &Mesh2D,
+    labeling: &Labeling,
+    mc: &MulticastSet,
+    scratch: &mut RouteScratch,
+) {
+    scratch.split(labeling, mc);
+    let RouteScratch {
+        high,
+        low,
+        neighbors,
+        subs,
+        ..
+    } = scratch;
+    subs.clear();
+    split_half_mesh(mesh, labeling, mc.source, high, true, neighbors, subs);
+    split_half_mesh(mesh, labeling, mc.source, low, false, neighbors, subs);
 }
 
 fn split_half_mesh(
@@ -41,29 +98,24 @@ fn split_half_mesh(
     u0: NodeId,
     half: &[NodeId],
     high: bool,
-) -> Vec<SubMulticast> {
+    side: &mut Vec<NodeId>,
+    subs: &mut SubList,
+) {
     if half.is_empty() {
-        return Vec::new();
+        return;
     }
     let l0 = labeling.label(u0);
-    let mut nb = Vec::new();
-    mesh.neighbors_into(u0, &mut nb);
-    let side: Vec<NodeId> = nb
-        .into_iter()
-        .filter(|&p| {
-            if high {
-                labeling.label(p) > l0
-            } else {
-                labeling.label(p) < l0
-            }
-        })
-        .collect();
+    mesh.neighbors_into(u0, side);
+    side.retain(|&p| {
+        if high {
+            labeling.label(p) > l0
+        } else {
+            labeling.label(p) < l0
+        }
+    });
     match side.len() {
         0 => unreachable!("nonempty half implies a monotone neighbor exists"),
-        1 => vec![SubMulticast {
-            via: side[0],
-            dests: half.to_vec(),
-        }],
+        1 => subs.push(side[0], half.iter().copied()),
         _ => {
             // Exactly two: one horizontal (same row), one vertical.
             let (x0, y0) = mesh.coords(u0);
@@ -80,28 +132,16 @@ fn split_half_mesh(
             let (hx, _) = mesh.coords(horiz);
             // Destinations on the horizontal neighbor's side of the
             // source's column ride via it; the rest via the vertical one.
-            let (dh, dv): (Vec<NodeId>, Vec<NodeId>) = half.iter().partition(|&&d| {
+            let via_horiz = |&d: &NodeId| {
                 let (x, _) = mesh.coords(d);
                 if hx > x0 {
                     x > x0
                 } else {
                     x < x0
                 }
-            });
-            let mut subs = Vec::new();
-            if !dh.is_empty() {
-                subs.push(SubMulticast {
-                    via: horiz,
-                    dests: dh,
-                });
-            }
-            if !dv.is_empty() {
-                subs.push(SubMulticast {
-                    via: vert,
-                    dests: dv,
-                });
-            }
-            subs
+            };
+            subs.push(horiz, half.iter().copied().filter(via_horiz));
+            subs.push(vert, half.iter().copied().filter(|d| !via_horiz(d)));
         }
     }
 }
@@ -115,87 +155,80 @@ pub fn prepare_by_intervals<T: Topology + ?Sized>(
     labeling: &Labeling,
     mc: &MulticastSet,
 ) -> Vec<SubMulticast> {
-    let (high, low) = dual_prepare(labeling, mc);
-    let l0 = labeling.label(mc.source);
-    let mut nb = Vec::new();
-    topo.neighbors_into(mc.source, &mut nb);
-
-    let mut subs = Vec::new();
-    // High side.
-    let mut ups: Vec<NodeId> = nb
-        .iter()
-        .copied()
-        .filter(|&p| labeling.label(p) > l0)
-        .collect();
-    ups.sort_by_key(|&p| labeling.label(p));
-    for (i, &v) in ups.iter().enumerate() {
-        let lo = labeling.label(v);
-        let hi = ups
-            .get(i + 1)
-            .map(|&n| labeling.label(n))
-            .unwrap_or(usize::MAX);
-        let dests: Vec<NodeId> = high
-            .iter()
-            .copied()
-            .filter(|&d| {
-                let ld = labeling.label(d);
-                ld >= lo && (hi == usize::MAX || ld < hi)
-            })
-            .collect();
-        if !dests.is_empty() {
-            subs.push(SubMulticast { via: v, dests });
-        }
-    }
-    // Low side (mirror).
-    let mut downs: Vec<NodeId> = nb
-        .iter()
-        .copied()
-        .filter(|&p| labeling.label(p) < l0)
-        .collect();
-    downs.sort_by_key(|&p| std::cmp::Reverse(labeling.label(p)));
-    for (i, &v) in downs.iter().enumerate() {
-        let hi = labeling.label(v);
-        let lo = downs.get(i + 1).map(|&n| labeling.label(n));
-        let dests: Vec<NodeId> = low
-            .iter()
-            .copied()
-            .filter(|&d| {
-                let ld = labeling.label(d);
-                ld <= hi && lo.is_none_or(|lo| ld > lo)
-            })
-            .collect();
-        if !dests.is_empty() {
-            subs.push(SubMulticast { via: v, dests });
-        }
-    }
-    subs
+    let mut scratch = RouteScratch::new();
+    prepare_by_intervals_into(topo, labeling, mc, &mut scratch);
+    scratch.subs.to_owned()
 }
 
-/// Routes the prepared sub-multicasts: each copy hops to `via`, then
-/// follows the routing function through its sorted destination list.
-pub fn route_subs<T: Topology + ?Sized>(
+/// [`prepare_by_intervals`] into `scratch`, for [`route_subs_into`].
+pub fn prepare_by_intervals_into<T: Topology + ?Sized>(
+    topo: &T,
+    labeling: &Labeling,
+    mc: &MulticastSet,
+    scratch: &mut RouteScratch,
+) {
+    scratch.split(labeling, mc);
+    let RouteScratch {
+        high,
+        low,
+        neighbors,
+        subs,
+        ..
+    } = scratch;
+    subs.clear();
+    let l0 = labeling.label(mc.source);
+    let label = |n: NodeId| labeling.label(n);
+    topo.neighbors_into(mc.source, neighbors);
+    neighbors.sort_by_key(|&p| label(p));
+    let downs = &neighbors[..neighbors.partition_point(|&p| label(p) < l0)];
+    let ups = &neighbors[neighbors.partition_point(|&p| label(p) <= l0)..];
+    // Each half is sorted away from the source, so every interval is a
+    // contiguous run of it. High side: `v_1 < v_2 < …`.
+    let below = |l: usize| high.partition_point(|&d| label(d) < l);
+    for (i, &v) in ups.iter().enumerate() {
+        let to = ups
+            .get(i + 1)
+            .map_or(high.len(), |&next| below(label(next)));
+        subs.push(v, high[below(label(v))..to].iter().copied());
+    }
+    // Low side (mirror): `v_1 > v_2 > …`.
+    let above = |l: usize| low.partition_point(|&d| label(d) > l);
+    for (i, &v) in downs.iter().enumerate().rev() {
+        let to = i
+            .checked_sub(1)
+            .map_or(low.len(), |next| above(label(downs[next])));
+        subs.push(v, low[above(label(v))..to].iter().copied());
+    }
+}
+
+/// Routes the sub-multicasts prepared in `scratch` by
+/// [`prepare_mesh_into`] or [`prepare_by_intervals_into`]: each copy hops
+/// to `via`, then follows the routing function through its sorted
+/// destination list. Hands each path to `emit` as a borrowed slice.
+pub fn route_subs_into<T: Topology + ?Sized>(
     topo: &T,
     labeling: &Labeling,
     source: NodeId,
-    subs: &[SubMulticast],
-) -> Vec<PathRoute> {
-    subs.iter()
-        .map(|sub| {
-            let mut nodes = vec![source, sub.via];
-            for &d in &sub.dests {
-                if *nodes.last().unwrap() != d {
-                    crate::routing_fn::r_extend(topo, labeling, &mut nodes, d);
-                }
-            }
-            PathRoute::new(nodes)
-        })
-        .collect()
+    scratch: &mut RouteScratch,
+    mut emit: impl FnMut(&[NodeId]),
+) {
+    let RouteScratch {
+        nodes,
+        neighbors,
+        subs,
+        ..
+    } = scratch;
+    for (via, dests) in subs.iter() {
+        route_into(topo, labeling, &[source, via], dests, nodes, neighbors);
+        emit(nodes);
+    }
 }
 
 /// Multi-path routing on a 2D mesh (coordinate-split preparation).
 pub fn multi_path_mesh(mesh: &Mesh2D, labeling: &Labeling, mc: &MulticastSet) -> Vec<PathRoute> {
-    let subs = prepare_mesh(mesh, labeling, mc);
-    route_subs(mesh, labeling, mc.source, &subs)
+    let mut scratch = RouteScratch::new();
+    prepare_mesh_into(mesh, labeling, mc, &mut scratch);
+    collect_subs(mesh, labeling, mc, &mut scratch)
 }
 
 /// Multi-path routing on any labeled topology (interval-split
@@ -205,8 +238,22 @@ pub fn multi_path<T: Topology + ?Sized>(
     labeling: &Labeling,
     mc: &MulticastSet,
 ) -> Vec<PathRoute> {
-    let subs = prepare_by_intervals(topo, labeling, mc);
-    route_subs(topo, labeling, mc.source, &subs)
+    let mut scratch = RouteScratch::new();
+    prepare_by_intervals_into(topo, labeling, mc, &mut scratch);
+    collect_subs(topo, labeling, mc, &mut scratch)
+}
+
+fn collect_subs<T: Topology + ?Sized>(
+    topo: &T,
+    labeling: &Labeling,
+    mc: &MulticastSet,
+    scratch: &mut RouteScratch,
+) -> Vec<PathRoute> {
+    let mut paths = Vec::new();
+    route_subs_into(topo, labeling, mc.source, scratch, |nodes| {
+        paths.push(PathRoute::new(nodes.to_vec()))
+    });
+    paths
 }
 
 /// Convenience wrapper returning a [`MulticastRoute::Star`] (mesh split).

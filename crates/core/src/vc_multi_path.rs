@@ -13,9 +13,11 @@
 //! giving up to `2·lanes` concurrent label-monotone paths while keeping
 //! per-path traffic close to dual-path's.
 
-use mcast_topology::{Labeling, Topology};
+use std::ops::Range;
 
-use crate::dual_path::{prepare as dual_prepare, route_path};
+use mcast_topology::{Labeling, NodeId, Topology};
+
+use crate::dual_path::{route_into, RouteScratch};
 use crate::model::{MulticastSet, PathRoute};
 
 /// One lane's sub-multicast: the virtual-channel class and its path.
@@ -27,23 +29,15 @@ pub struct LanePath {
     pub path: PathRoute,
 }
 
-/// Splits a sorted half (high or low) into at most `lanes` contiguous
-/// chunks of near-equal size, preserving order.
-fn chunk<T: Clone>(sorted: &[T], lanes: usize) -> Vec<Vec<T>> {
-    if sorted.is_empty() || lanes == 0 {
-        return Vec::new();
-    }
-    let lanes = lanes.min(sorted.len());
-    let base = sorted.len() / lanes;
-    let extra = sorted.len() % lanes;
-    let mut out = Vec::with_capacity(lanes);
-    let mut i = 0;
-    for l in 0..lanes {
-        let take = base + usize::from(l < extra);
-        out.push(sorted[i..i + take].to_vec());
-        i += take;
-    }
-    out
+/// Splits a sorted half of `len` destinations into at most `lanes`
+/// contiguous, order-preserving chunks of near-equal size (the earlier
+/// chunks take the remainder).
+fn chunks(len: usize, lanes: usize) -> impl Iterator<Item = Range<usize>> {
+    let lanes = lanes.min(len);
+    let base = len.checked_div(lanes).unwrap_or(0);
+    let extra = len.checked_rem(lanes).unwrap_or(0);
+    let start = move |l: usize| l * base + l.min(extra);
+    (0..lanes).map(move |l| start(l)..start(l + 1))
 }
 
 /// Virtual-channel multicast routing: distributes `D_H` and `D_L` over
@@ -55,26 +49,48 @@ pub fn vc_multi_path<T: Topology + ?Sized>(
     mc: &MulticastSet,
     lanes: u8,
 ) -> Vec<LanePath> {
-    assert!(lanes >= 1, "at least one virtual lane");
-    let (high, low) = dual_prepare(labeling, mc);
     let mut out = Vec::new();
-    for (lane, dests) in chunk(&high, lanes as usize).into_iter().enumerate() {
-        if !dests.is_empty() {
+    vc_multi_path_into(
+        topo,
+        labeling,
+        mc,
+        lanes,
+        &mut RouteScratch::new(),
+        |lane, nodes| {
             out.push(LanePath {
-                lane: lane as u8,
-                path: route_path(topo, labeling, mc.source, &dests),
-            });
-        }
-    }
-    for (lane, dests) in chunk(&low, lanes as usize).into_iter().enumerate() {
-        if !dests.is_empty() {
-            out.push(LanePath {
-                lane: lane as u8,
-                path: route_path(topo, labeling, mc.source, &dests),
-            });
-        }
-    }
+                lane,
+                path: PathRoute::new(nodes.to_vec()),
+            })
+        },
+    );
     out
+}
+
+/// Allocation-free [`vc_multi_path`]: builds each lane's path inside
+/// `scratch` and hands it to `emit` with its lane, in the same order.
+pub fn vc_multi_path_into<T: Topology + ?Sized>(
+    topo: &T,
+    labeling: &Labeling,
+    mc: &MulticastSet,
+    lanes: u8,
+    scratch: &mut RouteScratch,
+    mut emit: impl FnMut(u8, &[NodeId]),
+) {
+    assert!(lanes >= 1, "at least one virtual lane");
+    scratch.split(labeling, mc);
+    let RouteScratch {
+        high,
+        low,
+        nodes,
+        neighbors,
+        ..
+    } = scratch;
+    for side in [&*high, &*low] {
+        for (lane, range) in chunks(side.len(), lanes as usize).enumerate() {
+            route_into(topo, labeling, &[mc.source], &side[range], nodes, neighbors);
+            emit(lane as u8, nodes);
+        }
+    }
 }
 
 /// Total channels used (sum of path lengths).
@@ -176,13 +192,10 @@ mod tests {
 
     #[test]
     fn chunking_is_balanced_and_order_preserving() {
-        let v: Vec<usize> = (0..10).collect();
-        let c = chunk(&v, 3);
-        assert_eq!(c.len(), 3);
-        assert_eq!(c[0], vec![0, 1, 2, 3]);
-        assert_eq!(c[1], vec![4, 5, 6]);
-        assert_eq!(c[2], vec![7, 8, 9]);
-        assert!(chunk(&v, 0).is_empty());
-        assert_eq!(chunk(&v[..2], 5).len(), 2);
+        let c: Vec<_> = chunks(10, 3).collect();
+        assert_eq!(c, vec![0..4, 4..7, 7..10]);
+        assert_eq!(chunks(10, 0).count(), 0);
+        assert_eq!(chunks(2, 5).collect::<Vec<_>>(), vec![0..1, 1..2]);
+        assert_eq!(chunks(0, 3).count(), 0);
     }
 }

@@ -38,7 +38,7 @@ use mcast_topology::{
     TopographError,
 };
 
-use crate::plan::{ClassChoice, DeliveryPlan, PlanPath, PlanStage, PlanWorm};
+use crate::plan::{ClassChoice, DeliveryPlan, PlanArena, PlanPath, PlanStage, PlanWorm};
 use crate::routers::MulticastRouter;
 
 /// The certified deadlock-free unicast routing function of one
@@ -169,20 +169,10 @@ impl MulticastRouter for DpmRouter {
         "dpm"
     }
 
-    fn plan(&self, mc: &MulticastSet) -> DeliveryPlan {
-        DeliveryPlan {
-            source: mc.source,
-            destinations: mc.destinations.clone(),
-            worms: self
-                .partitions(mc)
-                .into_iter()
-                .map(|nodes| {
-                    PlanWorm::Path(PlanPath {
-                        nodes,
-                        class: ClassChoice::Any,
-                    })
-                })
-                .collect(),
+    fn plan_into(&self, mc: &MulticastSet, arena: &mut PlanArena, out: &mut DeliveryPlan) {
+        arena.begin(mc, out);
+        for nodes in self.partitions(mc) {
+            arena.push_path(out, nodes, ClassChoice::Any);
         }
     }
 }
@@ -317,7 +307,8 @@ impl MulticastRouter for CollectiveRouter {
         self.kind.name()
     }
 
-    fn plan(&self, mc: &MulticastSet) -> DeliveryPlan {
+    fn plan_into(&self, mc: &MulticastSet, arena: &mut PlanArena, out: &mut DeliveryPlan) {
+        arena.begin(mc, out);
         let ranks = Self::ranks(mc);
         let sends = self.schedule(ranks.len());
         let reliable = self.kind == CollectiveKind::BinomialReliable;
@@ -328,10 +319,10 @@ impl MulticastRouter for CollectiveRouter {
         let mut recv_worm: Vec<Option<u32>> = vec![None; ranks.len()];
         let mut last_send: Vec<Option<u32>> = vec![None; ranks.len()];
         let mut round_worms: Vec<Vec<u32>> = Vec::new();
-        let mut worms = Vec::with_capacity(sends.len());
+        let mut after: Vec<u32> = Vec::new();
         for s in sends {
-            let widx = worms.len() as u32;
-            let mut after: Vec<u32> = Vec::new();
+            let widx = out.worms.len() as u32;
+            after.clear();
             if reliable {
                 if s.round > 0 {
                     after.extend(&round_worms[s.round - 1]);
@@ -342,14 +333,18 @@ impl MulticastRouter for CollectiveRouter {
                 after.sort_unstable();
                 after.dedup();
             }
+            let mut nodes = arena.node_buf();
+            nodes.extend(self.unicast.path(ranks[s.from], ranks[s.to]));
             let path = PlanPath {
-                nodes: self.unicast.path(ranks[s.from], ranks[s.to]),
+                nodes,
                 class: ClassChoice::Any,
             };
-            worms.push(if after.is_empty() {
+            out.worms.push(if after.is_empty() {
                 PlanWorm::Path(path)
             } else {
-                PlanWorm::Staged(PlanStage { after, path })
+                let mut deps = arena.dep_buf();
+                deps.extend_from_slice(&after);
+                PlanWorm::Staged(PlanStage { after: deps, path })
             });
             recv_worm[s.to] = Some(widx);
             last_send[s.from] = Some(widx);
@@ -357,11 +352,6 @@ impl MulticastRouter for CollectiveRouter {
                 round_worms.push(Vec::new());
             }
             round_worms[s.round].push(widx);
-        }
-        DeliveryPlan {
-            source: mc.source,
-            destinations: mc.destinations.clone(),
-            worms,
         }
     }
 }

@@ -8,6 +8,7 @@
 //! worm per path (multicast star); tree plans spawn one lock-step tree
 //! worm per tree (multicast tree / the nCUBE-2 style of §6.1).
 
+use mcast_core::dual_path::RouteScratch;
 use mcast_core::model::{MulticastSet, PathRoute, TreeRoute};
 use mcast_topology::NodeId;
 
@@ -41,7 +42,7 @@ pub struct PlanTree {
 }
 
 /// A complete delivery plan for one multicast message.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DeliveryPlan {
     /// The source node.
     pub source: NodeId,
@@ -87,52 +88,27 @@ pub struct PlanStage {
 impl DeliveryPlan {
     /// Builds a star plan (one worm per path) from path routes.
     pub fn from_paths(mc: &MulticastSet, paths: &[PathRoute], class: ClassChoice) -> Self {
-        DeliveryPlan {
-            source: mc.source,
-            destinations: mc.destinations.clone(),
-            worms: paths
-                .iter()
-                .filter(|p| !p.is_empty())
-                .map(|p| {
-                    PlanWorm::Path(PlanPath {
-                        nodes: p.nodes().to_vec(),
-                        class,
-                    })
-                })
-                .collect(),
-        }
+        Self::build(mc, |arena, out| {
+            for p in paths {
+                arena.push_path(out, p.nodes().iter().copied(), class);
+            }
+        })
     }
 
     /// Builds a single-tree plan from a tree route. `class` applies to
     /// every edge.
     pub fn from_tree(mc: &MulticastSet, tree: &TreeRoute, class: ClassChoice) -> Self {
-        DeliveryPlan {
-            source: mc.source,
-            destinations: mc.destinations.clone(),
-            worms: if tree.traffic() == 0 {
-                Vec::new()
-            } else {
-                vec![PlanWorm::Tree(plan_tree(tree, |_, _| class))]
-            },
-        }
+        Self::build(mc, |arena, out| arena.push_tree(out, tree, |_, _| class))
     }
 
-    /// Builds a forest plan (one tree worm per tree) with per-edge class
-    /// assignment.
-    pub fn from_forest<F>(mc: &MulticastSet, trees: &[TreeRoute], mut class_of: F) -> Self
-    where
-        F: FnMut(usize, (NodeId, NodeId)) -> ClassChoice,
-    {
-        DeliveryPlan {
-            source: mc.source,
-            destinations: mc.destinations.clone(),
-            worms: trees
-                .iter()
-                .enumerate()
-                .filter(|(_, t)| t.traffic() > 0)
-                .map(|(i, t)| PlanWorm::Tree(plan_tree(t, |f, to| class_of(i, (f, to)))))
-                .collect(),
-        }
+    /// A fresh plan for `mc`, its worms appended by `fill` through a
+    /// fresh arena.
+    fn build(mc: &MulticastSet, fill: impl FnOnce(&mut PlanArena, &mut DeliveryPlan)) -> Self {
+        let mut arena = PlanArena::new();
+        let mut out = DeliveryPlan::default();
+        arena.begin(mc, &mut out);
+        fill(&mut arena, &mut out);
+        out
     }
 
     /// Total channels claimed across all worms (the plan's traffic).
@@ -153,17 +129,18 @@ impl PlanWorm {
 }
 
 /// A reusable buffer pool for building `DeliveryPlan`s without
-/// per-message allocation (DESIGN.md §16). Routers that implement
-/// `plan_into` draw node/edge buffers from the arena and the streaming
-/// runner recycles the finished plan back into it, so steady-state plan
-/// construction performs no heap allocation at all once the pools warm
-/// up.
+/// per-message allocation (DESIGN.md §16). `plan_into` starts its plan
+/// with [`PlanArena::begin`], which returns the previous plan's buffers
+/// to the pool, and appends worms whose buffers come from the pool, so
+/// the pool never holds more than one plan's buffers and steady-state
+/// plan construction of the label-routed schemes performs no heap
+/// allocation once the pools warm up.
 #[derive(Debug, Default)]
 pub struct PlanArena {
     node_bufs: Vec<Vec<NodeId>>,
     edge_bufs: Vec<Vec<(NodeId, NodeId, ClassChoice)>>,
     dep_bufs: Vec<Vec<u32>>,
-    dual_scratch: mcast_core::dual_path::DualPathScratch,
+    scratch: RouteScratch,
 }
 
 impl PlanArena {
@@ -183,12 +160,6 @@ impl PlanArena {
         self.node_bufs.push(buf);
     }
 
-    /// Working buffers for the dual-path routing family, kept here so a
-    /// `&mut PlanArena` is the only state `plan_into` needs.
-    pub fn dual_scratch(&mut self) -> &mut mcast_core::dual_path::DualPathScratch {
-        &mut self.dual_scratch
-    }
-
     /// Takes an empty edge buffer from the pool (or allocates one).
     pub fn edge_buf(&mut self) -> Vec<(NodeId, NodeId, ClassChoice)> {
         self.edge_bufs.pop().unwrap_or_default()
@@ -198,6 +169,70 @@ impl PlanArena {
     /// allocates one).
     pub fn dep_buf(&mut self) -> Vec<u32> {
         self.dep_bufs.pop().unwrap_or_default()
+    }
+
+    /// Runs `f` with the working buffers of the label-routed schemes,
+    /// kept here so a `&mut PlanArena` is the only state `plan_into`
+    /// needs. `f` gets the arena too, to append worms while routing.
+    pub fn with_scratch<R>(&mut self, f: impl FnOnce(&mut Self, &mut RouteScratch) -> R) -> R {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let r = f(self, &mut scratch);
+        self.scratch = scratch;
+        r
+    }
+
+    /// Starts `out` as the plan for `mc`: recycles its buffers, then sets
+    /// its source and destinations, with no worms yet.
+    pub fn begin(&mut self, mc: &MulticastSet, out: &mut DeliveryPlan) {
+        self.recycle(out);
+        out.source = mc.source;
+        out.destinations = self.node_buf();
+        out.destinations.extend_from_slice(&mc.destinations);
+    }
+
+    /// Appends a path worm visiting `nodes` to `out`. A path of fewer
+    /// than two nodes makes no worm.
+    pub fn push_path(
+        &mut self,
+        out: &mut DeliveryPlan,
+        nodes: impl IntoIterator<Item = NodeId>,
+        class: ClassChoice,
+    ) {
+        let mut buf = self.node_buf();
+        buf.extend(nodes);
+        if buf.len() < 2 {
+            self.put_node_buf(buf);
+        } else {
+            out.worms
+                .push(PlanWorm::Path(PlanPath { nodes: buf, class }));
+        }
+    }
+
+    /// Appends a tree worm for `tree` to `out`, edges in BFS order so
+    /// parents precede children, each with class `class_of(from, to)`.
+    /// A tree without edges makes no worm.
+    pub fn push_tree<F>(&mut self, out: &mut DeliveryPlan, tree: &TreeRoute, mut class_of: F)
+    where
+        F: FnMut(NodeId, NodeId) -> ClassChoice,
+    {
+        if tree.traffic() == 0 {
+            return;
+        }
+        let mut edges = self.edge_buf();
+        let children = tree.children_map();
+        let mut queue = std::collections::VecDeque::from([tree.root()]);
+        while let Some(n) = queue.pop_front() {
+            if let Some(kids) = children.get(&n) {
+                for &c in kids {
+                    edges.push((n, c, class_of(n, c)));
+                    queue.push_back(c);
+                }
+            }
+        }
+        out.worms.push(PlanWorm::Tree(PlanTree {
+            root: tree.root(),
+            edges,
+        }));
     }
 
     /// Returns every buffer inside `plan` to the pool, leaving the plan
@@ -236,29 +271,6 @@ impl PlanArena {
     }
 }
 
-fn plan_tree<F>(tree: &TreeRoute, mut class_of: F) -> PlanTree
-where
-    F: FnMut(NodeId, NodeId) -> ClassChoice,
-{
-    // Emit edges in BFS order so parents precede children.
-    let children = tree.children_map();
-    let mut edges = Vec::with_capacity(tree.traffic());
-    let mut queue = std::collections::VecDeque::new();
-    queue.push_back(tree.root());
-    while let Some(n) = queue.pop_front() {
-        if let Some(kids) = children.get(&n) {
-            for &c in kids {
-                edges.push((n, c, class_of(n, c)));
-                queue.push_back(c);
-            }
-        }
-    }
-    PlanTree {
-        root: tree.root(),
-        edges,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -293,8 +305,7 @@ mod tests {
         let mut plan = DeliveryPlan::from_paths(&mc, &paths, ClassChoice::Any);
         let mut t = TreeRoute::new(0);
         t.attach(0, 1);
-        plan.worms
-            .push(PlanWorm::Tree(plan_tree(&t, |_, _| ClassChoice::Any)));
+        arena.push_tree(&mut plan, &t, |_, _| ClassChoice::Any);
         arena.recycle(&mut plan);
         // destinations + two path node buffers + one tree edge buffer.
         assert_eq!(arena.pooled(), 4);

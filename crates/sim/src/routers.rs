@@ -6,7 +6,9 @@
 //! the double-channel tree scheme) so experiment harnesses can build the
 //! right [`crate::network::Network`].
 
+use mcast_core::dual_path::RouteScratch;
 use mcast_core::model::MulticastSet;
+use mcast_core::multi_path;
 use mcast_topology::labeling::{hypercube_gray, mesh2d_snake};
 use mcast_topology::{Hypercube, Labeling, Mesh2D, Topology};
 
@@ -22,18 +24,20 @@ pub trait MulticastRouter {
         1
     }
 
-    /// Produces the delivery plan for a multicast set.
-    fn plan(&self, mc: &MulticastSet) -> DeliveryPlan;
+    /// Builds the delivery plan for `mc` into `out`, recycling `out`'s
+    /// previous buffers through `arena` (DESIGN.md §16): implementations
+    /// start with [`PlanArena::begin`] and draw every worm buffer from
+    /// the arena, so the pool stays bounded by one plan's buffers.
+    fn plan_into(&self, mc: &MulticastSet, arena: &mut PlanArena, out: &mut DeliveryPlan);
 
-    /// Builds the plan for `mc` into `out`, recycling `out`'s previous
-    /// buffers through `arena` (DESIGN.md §16). The result must be
-    /// identical to `plan(mc)`; the default implementation guarantees
-    /// that by delegating, and drops the old plan rather than pooling
-    /// buffers it would never take back out. Routers on the streaming
-    /// hot path override this to reuse arena buffers instead of
-    /// allocating.
-    fn plan_into(&self, mc: &MulticastSet, _arena: &mut PlanArena, out: &mut DeliveryPlan) {
-        *out = self.plan(mc);
+    /// Produces the delivery plan for a multicast set: [`plan_into`]
+    /// through a fresh arena.
+    ///
+    /// [`plan_into`]: MulticastRouter::plan_into
+    fn plan(&self, mc: &MulticastSet) -> DeliveryPlan {
+        let mut out = DeliveryPlan::default();
+        self.plan_into(mc, &mut PlanArena::new(), &mut out);
+        out
     }
 }
 
@@ -44,10 +48,6 @@ impl<R: MulticastRouter + ?Sized> MulticastRouter for Box<R> {
 
     fn required_classes(&self) -> u8 {
         self.as_ref().required_classes()
-    }
-
-    fn plan(&self, mc: &MulticastSet) -> DeliveryPlan {
-        self.as_ref().plan(mc)
     }
 
     fn plan_into(&self, mc: &MulticastSet, arena: &mut PlanArena, out: &mut DeliveryPlan) {
@@ -103,41 +103,13 @@ impl<T: Topology> MulticastRouter for DualPathRouter<T> {
         "dual-path"
     }
 
-    fn plan(&self, mc: &MulticastSet) -> DeliveryPlan {
-        let paths = mcast_core::dual_path::dual_path(&self.topo, &self.labeling, mc);
-        DeliveryPlan::from_paths(mc, &paths, self.class)
-    }
-
     fn plan_into(&self, mc: &MulticastSet, arena: &mut PlanArena, out: &mut DeliveryPlan) {
-        arena.recycle(out);
-        out.source = mc.source;
-        let mut dests = arena.node_buf();
-        dests.extend_from_slice(&mc.destinations);
-        out.destinations = dests;
-        // At most two paths (high/low); pre-draw their buffers so the
-        // emit closure never touches the arena while the scratch is
-        // borrowed out of it.
-        let mut bufs = [Some(arena.node_buf()), Some(arena.node_buf())];
-        let mut next = 0;
-        let class = self.class;
-        mcast_core::dual_path::dual_path_into(
-            &self.topo,
-            &self.labeling,
-            mc,
-            arena.dual_scratch(),
-            |nodes| {
-                let mut buf = bufs[next]
-                    .take()
-                    .expect("dual-path emits at most two paths");
-                next += 1;
-                buf.extend_from_slice(nodes);
-                out.worms
-                    .push(PlanWorm::Path(PlanPath { nodes: buf, class }));
-            },
-        );
-        for b in bufs.into_iter().flatten() {
-            arena.put_node_buf(b);
-        }
+        arena.begin(mc, out);
+        arena.with_scratch(|arena, scratch| {
+            mcast_core::dual_path::dual_path_into(&self.topo, &self.labeling, mc, scratch, |p| {
+                arena.push_path(out, p.iter().copied(), self.class)
+            })
+        });
     }
 }
 
@@ -160,9 +132,10 @@ impl MulticastRouter for MultiPathMeshRouter {
         "multi-path"
     }
 
-    fn plan(&self, mc: &MulticastSet) -> DeliveryPlan {
-        let paths = mcast_core::multi_path::multi_path_mesh(&self.mesh, &self.labeling, mc);
-        DeliveryPlan::from_paths(mc, &paths, ClassChoice::Any)
+    fn plan_into(&self, mc: &MulticastSet, arena: &mut PlanArena, out: &mut DeliveryPlan) {
+        plan_multi_path(&self.mesh, &self.labeling, mc, arena, out, |scratch| {
+            multi_path::prepare_mesh_into(&self.mesh, &self.labeling, mc, scratch)
+        });
     }
 }
 
@@ -185,9 +158,10 @@ impl MulticastRouter for MultiPathCubeRouter {
         "multi-path"
     }
 
-    fn plan(&self, mc: &MulticastSet) -> DeliveryPlan {
-        let paths = mcast_core::multi_path::multi_path(&self.cube, &self.labeling, mc);
-        DeliveryPlan::from_paths(mc, &paths, ClassChoice::Any)
+    fn plan_into(&self, mc: &MulticastSet, arena: &mut PlanArena, out: &mut DeliveryPlan) {
+        plan_multi_path(&self.cube, &self.labeling, mc, arena, out, |scratch| {
+            multi_path::prepare_by_intervals_into(&self.cube, &self.labeling, mc, scratch)
+        });
     }
 }
 
@@ -212,10 +186,30 @@ impl<T: Topology> MulticastRouter for MultiPathRouter<T> {
         "multi-path"
     }
 
-    fn plan(&self, mc: &MulticastSet) -> DeliveryPlan {
-        let paths = mcast_core::multi_path::multi_path(&self.topo, &self.labeling, mc);
-        DeliveryPlan::from_paths(mc, &paths, ClassChoice::Any)
+    fn plan_into(&self, mc: &MulticastSet, arena: &mut PlanArena, out: &mut DeliveryPlan) {
+        plan_multi_path(&self.topo, &self.labeling, mc, arena, out, |scratch| {
+            multi_path::prepare_by_intervals_into(&self.topo, &self.labeling, mc, scratch)
+        });
     }
+}
+
+/// Multi-path into `out`: `prepare` splits the destinations into
+/// sub-multicasts in the scratch, each routed into one path worm.
+fn plan_multi_path<T: Topology + ?Sized>(
+    topo: &T,
+    labeling: &Labeling,
+    mc: &MulticastSet,
+    arena: &mut PlanArena,
+    out: &mut DeliveryPlan,
+    prepare: impl FnOnce(&mut RouteScratch),
+) {
+    arena.begin(mc, out);
+    arena.with_scratch(|arena, scratch| {
+        prepare(scratch);
+        multi_path::route_subs_into(topo, labeling, mc.source, scratch, |p| {
+            arena.push_path(out, p.iter().copied(), ClassChoice::Any)
+        });
+    });
 }
 
 /// Fixed-path routing (§6.2.2 Fig 6.17) over any labeled topology.
@@ -258,9 +252,17 @@ impl<T: Topology> MulticastRouter for FixedPathRouter<T> {
         "fixed-path"
     }
 
-    fn plan(&self, mc: &MulticastSet) -> DeliveryPlan {
-        let paths = mcast_core::fixed_path::fixed_path(&self.topo, &self.labeling, mc);
-        DeliveryPlan::from_paths(mc, &paths, ClassChoice::Any)
+    fn plan_into(&self, mc: &MulticastSet, arena: &mut PlanArena, out: &mut DeliveryPlan) {
+        debug_assert_eq!(self.topo.num_nodes(), self.labeling.len());
+        arena.begin(mc, out);
+        let (up, down) = mcast_core::fixed_path::fixed_path_spans(&self.labeling, mc);
+        let path = self.labeling.path();
+        if let Some(up) = up {
+            arena.push_path(out, path[up].iter().copied(), ClassChoice::Any);
+        }
+        if let Some(down) = down {
+            arena.push_path(out, path[down].iter().rev().copied(), ClassChoice::Any);
+        }
     }
 }
 
@@ -286,15 +288,13 @@ impl MulticastRouter for DoubleChannelTreeRouter {
         2
     }
 
-    fn plan(&self, mc: &MulticastSet) -> DeliveryPlan {
-        let parts = mcast_core::dc_xfirst_tree::dc_xfirst(&self.mesh, mc);
-        let mesh = self.mesh;
-        let quadrants: Vec<_> = parts.iter().map(|p| p.quadrant).collect();
-        let trees: Vec<_> = parts.into_iter().map(|p| p.tree).collect();
-        DeliveryPlan::from_forest(mc, &trees, |i, (from, to)| {
-            let q = quadrants[i];
-            ClassChoice::Fixed(q.channel_class(mesh.direction(from, to)))
-        })
+    fn plan_into(&self, mc: &MulticastSet, arena: &mut PlanArena, out: &mut DeliveryPlan) {
+        arena.begin(mc, out);
+        for p in mcast_core::dc_xfirst_tree::dc_xfirst(&self.mesh, mc) {
+            arena.push_tree(out, &p.tree, |from, to| {
+                ClassChoice::Fixed(p.quadrant.channel_class(self.mesh.direction(from, to)))
+            });
+        }
     }
 }
 
@@ -327,16 +327,6 @@ impl<T: Topology> CircuitDualPathRouter<T> {
 impl<T: Topology> MulticastRouter for CircuitDualPathRouter<T> {
     fn name(&self) -> &'static str {
         "dual-path/circuit"
-    }
-
-    fn plan(&self, mc: &MulticastSet) -> DeliveryPlan {
-        let mut plan = self.inner.plan(mc);
-        for w in &mut plan.worms {
-            if let crate::plan::PlanWorm::Path(p) = w {
-                *w = crate::plan::PlanWorm::Circuit(p.clone());
-            }
-        }
-        plan
     }
 
     fn plan_into(&self, mc: &MulticastSet, arena: &mut PlanArena, out: &mut DeliveryPlan) {
@@ -376,10 +366,6 @@ impl<R: MulticastRouter> MulticastRouter for ClassOverrideRouter<R> {
 
     fn required_classes(&self) -> u8 {
         self.classes.max(self.inner.required_classes())
-    }
-
-    fn plan(&self, mc: &MulticastSet) -> DeliveryPlan {
-        self.inner.plan(mc)
     }
 
     fn plan_into(&self, mc: &MulticastSet, arena: &mut PlanArena, out: &mut DeliveryPlan) {
@@ -440,23 +426,18 @@ impl<T: Topology> MulticastRouter for VcMultiPathRouter<T> {
         self.lanes
     }
 
-    fn plan(&self, mc: &MulticastSet) -> DeliveryPlan {
-        let lane_paths =
-            mcast_core::vc_multi_path::vc_multi_path(&self.topo, &self.labeling, mc, self.lanes);
-        DeliveryPlan {
-            source: mc.source,
-            destinations: mc.destinations.clone(),
-            worms: lane_paths
-                .into_iter()
-                .filter(|p| !p.path.is_empty())
-                .map(|p| {
-                    crate::plan::PlanWorm::Path(crate::plan::PlanPath {
-                        nodes: p.path.nodes().to_vec(),
-                        class: ClassChoice::Fixed(p.lane),
-                    })
-                })
-                .collect(),
-        }
+    fn plan_into(&self, mc: &MulticastSet, arena: &mut PlanArena, out: &mut DeliveryPlan) {
+        arena.begin(mc, out);
+        arena.with_scratch(|arena, scratch| {
+            mcast_core::vc_multi_path::vc_multi_path_into(
+                &self.topo,
+                &self.labeling,
+                mc,
+                self.lanes,
+                scratch,
+                |lane, p| arena.push_path(out, p.iter().copied(), ClassChoice::Fixed(lane)),
+            )
+        });
     }
 }
 
@@ -483,19 +464,17 @@ impl MulticastRouter for OctantTreeRouter {
         4
     }
 
-    fn plan(&self, mc: &MulticastSet) -> DeliveryPlan {
-        let parts = mcast_core::mesh3d_multicast::octant_multicast(&self.mesh, mc);
-        let mesh = self.mesh;
-        let octants: Vec<_> = parts.iter().map(|p| p.octant).collect();
-        let trees: Vec<_> = parts.into_iter().map(|p| p.tree).collect();
-        DeliveryPlan::from_forest(mc, &trees, |i, (from, to)| {
-            let o = octants[i];
-            let dir = mcast_topology::mesh3d::Dir3::ALL
-                .into_iter()
-                .find(|&d| mesh.step(from, d) == Some(to))
-                .expect("tree edge is a link");
-            ClassChoice::Fixed(o.channel_class(dir))
-        })
+    fn plan_into(&self, mc: &MulticastSet, arena: &mut PlanArena, out: &mut DeliveryPlan) {
+        arena.begin(mc, out);
+        for p in mcast_core::mesh3d_multicast::octant_multicast(&self.mesh, mc) {
+            arena.push_tree(out, &p.tree, |from, to| {
+                let dir = mcast_topology::mesh3d::Dir3::ALL
+                    .into_iter()
+                    .find(|&d| self.mesh.step(from, d) == Some(to))
+                    .expect("tree edge is a link");
+                ClassChoice::Fixed(p.octant.channel_class(dir))
+            });
+        }
     }
 }
 
@@ -517,9 +496,10 @@ impl MulticastRouter for XFirstTreeRouter {
         "xfirst-tree"
     }
 
-    fn plan(&self, mc: &MulticastSet) -> DeliveryPlan {
+    fn plan_into(&self, mc: &MulticastSet, arena: &mut PlanArena, out: &mut DeliveryPlan) {
+        arena.begin(mc, out);
         let tree = mcast_core::xfirst::xfirst_tree(&self.mesh, mc);
-        DeliveryPlan::from_tree(mc, &tree, ClassChoice::Any)
+        arena.push_tree(out, &tree, |_, _| ClassChoice::Any);
     }
 }
 
@@ -541,7 +521,7 @@ impl MulticastRouter for EcubeTreeRouter {
         "ecube-tree"
     }
 
-    fn plan(&self, mc: &MulticastSet) -> DeliveryPlan {
+    fn plan_into(&self, mc: &MulticastSet, arena: &mut PlanArena, out: &mut DeliveryPlan) {
         // The tree that merges the per-destination E-cube (ascending
         // dimension) unicast paths, as the nCUBE-2 broadcast does.
         use mcast_core::geometry::RoutingGeometry;
@@ -554,7 +534,8 @@ impl MulticastRouter for EcubeTreeRouter {
                 }
             }
         }
-        DeliveryPlan::from_tree(mc, &tree, ClassChoice::Any)
+        arena.begin(mc, out);
+        arena.push_tree(out, &tree, |_, _| ClassChoice::Any);
     }
 }
 

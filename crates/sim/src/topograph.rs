@@ -30,13 +30,13 @@
 
 use std::sync::Arc;
 
-use mcast_core::model::{MulticastSet, PathRoute, TreeRoute};
+use mcast_core::model::{MulticastSet, TreeRoute};
 use mcast_obs::json::Json;
 use mcast_topology::topograph::generators;
 use mcast_topology::topograph::synth::{synthesize, CertifiedRouting};
 use mcast_topology::{CustomGraph, NodeId, TopographError};
 
-use crate::plan::{ClassChoice, DeliveryPlan};
+use crate::plan::{ClassChoice, DeliveryPlan, PlanArena};
 use crate::routers::MulticastRouter;
 
 /// A typed ingestion failure: every malformed input is one of these —
@@ -458,13 +458,11 @@ impl MulticastRouter for UpDownMulticastRouter {
         "updown-mc"
     }
 
-    fn plan(&self, mc: &MulticastSet) -> DeliveryPlan {
-        let paths: Vec<PathRoute> = mc
-            .destinations
-            .iter()
-            .map(|&d| PathRoute::new(self.routing.path(mc.source, d)))
-            .collect();
-        DeliveryPlan::from_paths(mc, &paths, ClassChoice::Any)
+    fn plan_into(&self, mc: &MulticastSet, arena: &mut PlanArena, out: &mut DeliveryPlan) {
+        arena.begin(mc, out);
+        for &d in &mc.destinations {
+            arena.push_path(out, self.routing.path(mc.source, d), ClassChoice::Any);
+        }
     }
 }
 
@@ -491,7 +489,7 @@ impl MulticastRouter for UpDownTreeRouter {
         "updown-tree"
     }
 
-    fn plan(&self, mc: &MulticastSet) -> DeliveryPlan {
+    fn plan_into(&self, mc: &MulticastSet, arena: &mut PlanArena, out: &mut DeliveryPlan) {
         let mut tree = TreeRoute::new(mc.source);
         for &d in &mc.destinations {
             let path = self.routing.path(mc.source, d);
@@ -501,7 +499,8 @@ impl MulticastRouter for UpDownTreeRouter {
                 }
             }
         }
-        DeliveryPlan::from_tree(mc, &tree, ClassChoice::Any)
+        arena.begin(mc, out);
+        arena.push_tree(out, &tree, |_, _| ClassChoice::Any);
     }
 }
 

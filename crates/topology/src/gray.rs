@@ -18,12 +18,13 @@ pub fn gray_encode(i: usize) -> usize {
 /// sequence. This is the dissertation's hypercube label assignment `ℓ`.
 #[inline]
 pub fn gray_decode(g: usize) -> usize {
-    // b_i = g_i ⊕ g_{i+1} ⊕ … ⊕ g_{n-1}: fold all right-shifts of g.
-    let mut b = 0;
-    let mut g = g;
-    while g != 0 {
-        b ^= g;
-        g >>= 1;
+    // b_i = g_i ⊕ g_{i+1} ⊕ … ⊕ g_{n-1}: a prefix XOR from the top bit,
+    // folded in log₂(bits) doubling shifts.
+    let mut b = g;
+    let mut shift = 1;
+    while shift < usize::BITS {
+        b ^= b >> shift;
+        shift <<= 1;
     }
     b
 }

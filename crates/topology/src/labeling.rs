@@ -18,11 +18,42 @@ use crate::mesh3d::Mesh3D;
 /// A bijective node labeling along a Hamiltonian path.
 ///
 /// Stored densely in both directions so `label` and `node_at` are O(1).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Equality compares the label tables only: a table built by
+/// [`Labeling::from_path`] equals the dissertation labeling it copies,
+/// whatever [`LabelingKind`] each records.
+#[derive(Debug, Clone)]
 pub struct Labeling {
     label_of: Vec<usize>,
     node_at: Vec<NodeId>,
+    kind: LabelingKind,
 }
+
+/// How a [`Labeling`] was built. The dissertation's own labelings have a
+/// closed form, which the routing function `R` uses instead of reading
+/// labels from the table (`mcast_core::routing_fn`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LabelingKind {
+    /// The row snake of a `width`-wide [`Mesh2D`] ([`mesh2d_snake`]):
+    /// node `y·width + x` has label [`mesh2d_snake_label`]`(x, y)`.
+    MeshSnake {
+        /// The mesh width `w`.
+        width: usize,
+    },
+    /// The Gray labeling of a [`Hypercube`] ([`hypercube_gray`]):
+    /// node `v` has label `gray_decode(v)`.
+    CubeGray,
+    /// Any other labeling: only the table is known.
+    Table,
+}
+
+impl PartialEq for Labeling {
+    fn eq(&self, other: &Self) -> bool {
+        // `node_at` determines `label_of`.
+        self.node_at == other.node_at
+    }
+}
+
+impl Eq for Labeling {}
 
 impl Labeling {
     /// Builds a labeling from an explicit Hamiltonian path (node visiting
@@ -43,7 +74,15 @@ impl Labeling {
         Labeling {
             label_of,
             node_at: path,
+            kind: LabelingKind::Table,
         }
+    }
+
+    /// How the labeling was built: a closed-form dissertation labeling,
+    /// or a plain table.
+    #[inline]
+    pub fn kind(&self) -> LabelingKind {
+        self.kind
     }
 
     /// Number of nodes labeled.
@@ -130,13 +169,21 @@ pub fn mesh2d_snake(mesh: &Mesh2D) -> Labeling {
             mesh.node(x, y)
         })
         .collect();
-    Labeling::from_path(path)
+    Labeling {
+        kind: LabelingKind::MeshSnake { width: w },
+        ..Labeling::from_path(path)
+    }
 }
 
 /// The label `ℓ(x, y)` of the snake labeling in closed form, matching
 /// §6.2.2's definition.
 pub fn mesh2d_snake_label(mesh: &Mesh2D, x: usize, y: usize) -> usize {
-    let w = mesh.width();
+    snake_label(mesh.width(), x, y)
+}
+
+/// [`mesh2d_snake_label`] given only the mesh width `w`.
+#[inline]
+pub fn snake_label(w: usize, x: usize, y: usize) -> usize {
     if y.is_multiple_of(2) {
         y * w + x
     } else {
@@ -148,7 +195,10 @@ pub fn mesh2d_snake_label(mesh: &Mesh2D, x: usize, y: usize) -> usize {
 /// Hamiltonian path visits the binary reflected Gray code sequence.
 pub fn hypercube_gray(cube: &Hypercube) -> Labeling {
     let path = (0..cube.num_nodes()).map(gray_encode).collect();
-    let l = Labeling::from_path(path);
+    let l = Labeling {
+        kind: LabelingKind::CubeGray,
+        ..Labeling::from_path(path)
+    };
     debug_assert!((0..cube.num_nodes()).all(|v| l.label(v) == gray_decode(v)));
     l
 }
@@ -301,6 +351,23 @@ mod tests {
         hi_sorted.sort_unstable();
         lo_rev.sort_unstable();
         assert_eq!(hi_sorted, lo_rev);
+    }
+
+    #[test]
+    fn kind_is_recorded_but_not_compared() {
+        let m = Mesh2D::new(5, 3);
+        let snake = mesh2d_snake(&m);
+        assert_eq!(snake.kind(), LabelingKind::MeshSnake { width: 5 });
+        let table = Labeling::from_path(snake.path().to_vec());
+        assert_eq!(table.kind(), LabelingKind::Table);
+        assert_eq!(snake, table);
+        let c = Hypercube::new(4);
+        assert_eq!(hypercube_gray(&c).kind(), LabelingKind::CubeGray);
+        assert_eq!(
+            mesh3d_snake(&Mesh3D::new(2, 2, 2)).kind(),
+            LabelingKind::Table
+        );
+        assert_eq!(mesh2d_column_snake(&m).kind(), LabelingKind::Table);
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub use grid::GridGraph;
 pub use hamiltonian::HamiltonCycle;
 pub use hypercube::Hypercube;
 pub use karyn::KAryNCube;
-pub use labeling::Labeling;
+pub use labeling::{Labeling, LabelingKind};
 pub use mesh2d::{Dir2, Mesh2D};
 pub use mesh3d::{Dir3, Mesh3D};
 pub use partition::Quadrant;

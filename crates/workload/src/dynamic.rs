@@ -401,11 +401,7 @@ pub fn run_dynamic_with_sink<T: Topology + ?Sized>(
     let mut stats = RunStats::new(cfg);
     let mut saturated = false;
     let mut arena = mcast_sim::PlanArena::new();
-    let mut plan = mcast_sim::DeliveryPlan {
-        source: 0,
-        destinations: Vec::new(),
-        worms: Vec::new(),
-    };
+    let mut plan = mcast_sim::DeliveryPlan::default();
 
     'source: loop {
         // Peek, not draw: a message held by a bound or by backpressure
@@ -483,12 +479,41 @@ pub struct ThroughputResult {
     pub completed: usize,
 }
 
+/// Why a closed-loop throughput run stopped without a result.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ThroughputError {
+    /// The network ran out of events with messages still in flight: the
+    /// scheme deadlocked under the closed-loop load.
+    Wedged {
+        /// Messages in flight when the network stopped.
+        in_flight: usize,
+    },
+}
+
+impl std::fmt::Display for ThroughputError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ThroughputError::Wedged { in_flight } => write!(
+                f,
+                "closed-loop throughput run wedged with {in_flight} in flight (deadlock?)"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ThroughputError {}
+
 /// Measures a routing scheme's **saturation throughput** (§2.1's
 /// throughput criterion) with a closed-loop offered load: `window`
 /// messages are kept in flight at all times (each completion immediately
 /// triggers a fresh injection from a uniform source), and the sustained
 /// completion rate is measured over `measure` completions after a
-/// `window`-sized warmup.
+/// `window`-sized warmup. Plans are built through one reused
+/// [`PlanArena`](mcast_sim::PlanArena).
+///
+/// # Errors
+///
+/// [`ThroughputError::Wedged`] if the network deadlocks.
 pub fn measure_saturation_throughput<T: Topology + ?Sized>(
     topo: &T,
     router: &dyn MulticastRouter,
@@ -497,15 +522,18 @@ pub fn measure_saturation_throughput<T: Topology + ?Sized>(
     measure: usize,
     sim: SimConfig,
     seed: u64,
-) -> ThroughputResult {
+) -> Result<ThroughputResult, ThroughputError> {
     let network = Network::new(topo, router.required_classes());
     let mut engine = Engine::new(network, sim);
     let n = topo.num_nodes();
     let mut gen = crate::gen::MulticastGen::new(n, seed);
-    let inject = |engine: &mut Engine, gen: &mut crate::gen::MulticastGen| {
+    let mut arena = mcast_sim::PlanArena::new();
+    let mut plan = mcast_sim::DeliveryPlan::default();
+    let mut inject = |engine: &mut Engine, gen: &mut crate::gen::MulticastGen| {
         let s = gen.source();
         let mc = gen.multicast_distinct(s, destinations.min(n - 1));
-        engine.inject(&router.plan(&mc));
+        router.plan_into(&mc, &mut arena, &mut plan);
+        engine.inject(&plan);
     };
     for _ in 0..window {
         inject(&mut engine, &mut gen);
@@ -516,10 +544,9 @@ pub fn measure_saturation_throughput<T: Topology + ?Sized>(
     let mut t_start = 0;
     loop {
         if !engine.step() {
-            panic!(
-                "closed-loop throughput run wedged with {} in flight (deadlock?)",
-                engine.in_flight()
-            );
+            return Err(ThroughputError::Wedged {
+                in_flight: engine.in_flight(),
+            });
         }
         for done in engine.take_completed() {
             if warmed < window {
@@ -538,11 +565,11 @@ pub fn measure_saturation_throughput<T: Topology + ?Sized>(
         }
     }
     let span_ms = (engine.now() - t_start) as f64 / 1e6;
-    ThroughputResult {
+    Ok(ThroughputResult {
         messages_per_ms: measured as f64 / span_ms,
         mean_latency_us: lat.mean(),
         completed: measured,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -722,7 +749,8 @@ mod throughput_tests {
             150,
             SimConfig::default(),
             9,
-        );
+        )
+        .unwrap();
         let fixed = measure_saturation_throughput(
             &mesh,
             &FixedPathRouter::mesh(mesh),
@@ -731,7 +759,8 @@ mod throughput_tests {
             150,
             SimConfig::default(),
             9,
-        );
+        )
+        .unwrap();
         assert!(dual.messages_per_ms > 0.0);
         assert!(fixed.messages_per_ms > 0.0);
         // Fixed-path wastes channels on small destination sets, so its

@@ -23,6 +23,10 @@ use crate::dynamic::TrafficPattern;
 pub struct MulticastGen {
     rng: StdRng,
     num_nodes: usize,
+    /// Membership of the destinations being drawn by
+    /// [`MulticastGen::multicast_distinct`], indexed by node: all `false`
+    /// between calls, and empty until the first call.
+    drawn: Vec<bool>,
 }
 
 impl MulticastGen {
@@ -32,6 +36,7 @@ impl MulticastGen {
         MulticastGen {
             rng: StdRng::seed_from_u64(seed),
             num_nodes,
+            drawn: Vec::new(),
         }
     }
 
@@ -51,17 +56,32 @@ impl MulticastGen {
 
     /// Draws `k` *distinct* destinations different from the source —
     /// used by the dynamic experiments, where `k` is the exact
-    /// destination count per message.
+    /// destination count per message. Rejected draws (the source, or a
+    /// node already drawn) are redrawn; membership is a table lookup, so
+    /// a call costs O(k) expected time for `k` well below `num_nodes`.
     pub fn multicast_distinct(&mut self, source: NodeId, k: usize) -> MulticastSet {
         assert!(k < self.num_nodes, "cannot pick {k} distinct destinations");
+        if self.drawn.is_empty() {
+            self.drawn = vec![false; self.num_nodes];
+        }
         let mut dests = Vec::with_capacity(k);
         while dests.len() < k {
             let d = self.rng.gen_range(0..self.num_nodes);
-            if d != source && !dests.contains(&d) {
+            if d != source && !self.drawn[d] {
+                self.drawn[d] = true;
                 dests.push(d);
             }
         }
-        MulticastSet::new(source, dests)
+        for &d in &dests {
+            debug_assert!(d != source && self.drawn[d], "destination {d} drawn twice");
+            self.drawn[d] = false;
+        }
+        // Distinct and source-free by construction: nothing for
+        // `MulticastSet::new` to collapse.
+        MulticastSet {
+            source,
+            destinations: dests,
+        }
     }
 
     /// Draws an exponential interarrival time with the given mean (ns),

@@ -21,7 +21,7 @@ pub use conform::{
 };
 pub use dynamic::{
     measure_saturation_throughput, run_dynamic, run_dynamic_stream, run_dynamic_with_sink,
-    DynamicConfig, DynamicResult, StreamConfig, ThroughputResult, TrafficPattern,
+    DynamicConfig, DynamicResult, StreamConfig, ThroughputError, ThroughputResult, TrafficPattern,
 };
 pub use fault_sweep::{run_fault_sweep, FaultSweepConfig, FaultSweepRow};
 pub use gen::{MulticastGen, TrafficError, TrafficSource};

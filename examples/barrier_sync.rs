@@ -79,20 +79,10 @@ impl MulticastRouter for MultiUnicastRouter {
     fn name(&self) -> &'static str {
         "multi-unicast"
     }
-    fn plan(&self, mc: &MulticastSet) -> DeliveryPlan {
-        DeliveryPlan {
-            source: mc.source,
-            destinations: mc.destinations.clone(),
-            worms: mc
-                .destinations
-                .iter()
-                .map(|&d| {
-                    PlanWorm::Path(PlanPath {
-                        nodes: self.cube.shortest_path(mc.source, d),
-                        class: ClassChoice::Any,
-                    })
-                })
-                .collect(),
+    fn plan_into(&self, mc: &MulticastSet, arena: &mut PlanArena, out: &mut DeliveryPlan) {
+        arena.begin(mc, out);
+        for &d in &mc.destinations {
+            arena.push_path(out, self.cube.shortest_path(mc.source, d), ClassChoice::Any);
         }
     }
 }

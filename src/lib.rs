@@ -76,7 +76,7 @@ pub mod prelude {
         DoubleChannelTreeRouter, DualPathRouter, EcubeTreeRouter, FixedPathRouter,
         MultiPathCubeRouter, MultiPathMeshRouter, MulticastRouter, XFirstTreeRouter,
     };
-    pub use mcast_sim::{ClassChoice, DeliveryPlan, Engine, Network, SimConfig};
+    pub use mcast_sim::{ClassChoice, DeliveryPlan, Engine, Network, PlanArena, SimConfig};
     pub use mcast_topology::hamiltonian::{hypercube_cycle, mesh2d_cycle, HamiltonCycle};
     pub use mcast_topology::labeling::{
         hypercube_gray, karyn_gray, mesh2d_snake, mesh3d_snake, Labeling,

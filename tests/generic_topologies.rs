@@ -7,7 +7,9 @@
 use mcast::prelude::*;
 use mcast::routing::vc_multi_path;
 use mcast::sim::plan::{PlanPath, PlanWorm};
-use mcast::sim::registry::{build_router, scheme_deadlock_free, schemes_for, TopoSpec};
+use mcast::sim::registry::{
+    build_router, scheme_deadlock_free, schemes_for, BuiltTopo, SchemeId, TopoSpec,
+};
 use mcast::topology::cdg::ChannelDependencyGraph;
 use mcast::topology::hamiltonian::find_path;
 use mcast::topology::CubeConnectedCycles;
@@ -240,4 +242,81 @@ fn vc_lanes_on_kary_ncube() {
             );
         }
     }
+}
+
+/// The plan a label-routed scheme must produce for `mc`, built from the
+/// allocating `mcast_core` function over `table`, a plain-table copy of
+/// the scheme's labeling, so every hop takes the generic scan of `R`.
+/// `None` for the schemes that are not label-routed.
+fn reference_plan(
+    built: &BuiltTopo,
+    table: &Labeling,
+    scheme: &SchemeId,
+    mc: &MulticastSet,
+) -> Option<DeliveryPlan> {
+    let topo = built.as_dyn();
+    let star =
+        |paths: &[mcast::routing::PathRoute]| DeliveryPlan::from_paths(mc, paths, ClassChoice::Any);
+    Some(match scheme.name.as_str() {
+        "dual-path" => star(&dual_path(topo, table, mc)),
+        "circuit-dual-path" => {
+            let mut plan = star(&dual_path(topo, table, mc));
+            for w in &mut plan.worms {
+                if let PlanWorm::Path(p) = w {
+                    *w = PlanWorm::Circuit(p.clone());
+                }
+            }
+            plan
+        }
+        "multi-path" => match built {
+            BuiltTopo::Mesh2D(m) => star(&multi_path_mesh(m, table, mc)),
+            _ => star(&multi_path(topo, table, mc)),
+        },
+        "fixed-path" => star(&fixed_path(topo, table, mc)),
+        "vc-multi-path" => DeliveryPlan {
+            source: mc.source,
+            destinations: mc.destinations.clone(),
+            worms: vc_multi_path::vc_multi_path(topo, table, mc, scheme.lanes_or_default())
+                .into_iter()
+                .map(|p| {
+                    PlanWorm::Path(PlanPath {
+                        nodes: p.path.nodes().to_vec(),
+                        class: ClassChoice::Fixed(p.lane),
+                    })
+                })
+                .collect(),
+        },
+        _ => return None,
+    })
+}
+
+/// Compiled routes are plan-identical: for every registered pair,
+/// `plan_into` through one arena shared by every pair and message (so
+/// always dirty with the previous plan's buffers) equals the reference
+/// plan built with the generic `R`. Schemes that are not label-routed
+/// must give the same plan from the dirty arena as from a fresh one.
+#[test]
+fn plan_into_from_a_dirty_arena_equals_the_generic_reference() {
+    let mut arena = PlanArena::new();
+    let mut out = DeliveryPlan::default();
+    for topo_s in REGISTRY_TOPOS.iter().chain(&["mesh:7x5", "cube:6"]) {
+        let topo = TopoSpec::parse(topo_s).unwrap();
+        let built = topo.build();
+        let table = Labeling::from_path(topo.labeling().path().to_vec());
+        let n = topo.num_nodes();
+        for scheme in schemes_for(&topo) {
+            let router = build_router(&topo, &scheme).unwrap();
+            let mut gen = MulticastGen::new(n, 0x91a4);
+            for i in 0..200 {
+                let src = gen.source();
+                let mc = gen.multicast_distinct(src, 1 + i % (n - 1));
+                router.plan_into(&mc, &mut arena, &mut out);
+                let want = reference_plan(&built, &table, &scheme, &mc)
+                    .unwrap_or_else(|| router.plan(&mc));
+                assert_eq!(out, want, "{topo_s}/{scheme} message {i}");
+            }
+        }
+    }
+    // The pool holds at most one plan's buffers, however many plans ran.
+    assert!(arena.pooled() < 200, "{} pooled buffers", arena.pooled());
 }

@@ -113,8 +113,8 @@ fn claim_path_schemes_survive_load_better_than_tree() {
             fn required_classes(&self) -> u8 {
                 2
             }
-            fn plan(&self, mc: &MulticastSet) -> DeliveryPlan {
-                self.0.plan(mc)
+            fn plan_into(&self, mc: &MulticastSet, arena: &mut PlanArena, out: &mut DeliveryPlan) {
+                self.0.plan_into(mc, arena, out)
             }
         }
         let mut cfg = quick_dynamic();

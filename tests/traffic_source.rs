@@ -7,12 +7,103 @@
 //! The pattern rewrite draws no random numbers, so one scan per seed
 //! serves all three patterns (`TrafficPattern::apply` on its output is
 //! what the old loop computed).
+//!
+//! The scan draws through [`ReferenceGen`], a copy of `MulticastGen`
+//! that keeps the old O(k²) distinct-destination draw, so the same
+//! tests also hold the table-based draw to it.
 
 use mcast_core::model::MulticastSet;
 use mcast_sim::registry::TopoSpec;
 use mcast_workload::{MulticastGen, TrafficPattern, TrafficSource};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 const PAIRS: usize = 5_000;
+
+/// `MulticastGen` as it was before its membership table: the same seeded
+/// RNG and draw order, with a linear `contains` per draw and a
+/// `MulticastSet::new` pass over the result.
+struct ReferenceGen {
+    rng: StdRng,
+    num_nodes: usize,
+}
+
+impl ReferenceGen {
+    fn new(num_nodes: usize, seed: u64) -> Self {
+        ReferenceGen {
+            rng: StdRng::seed_from_u64(seed),
+            num_nodes,
+        }
+    }
+
+    fn source(&mut self) -> usize {
+        self.rng.gen_range(0..self.num_nodes)
+    }
+
+    fn multicast_distinct(&mut self, source: usize, k: usize) -> MulticastSet {
+        let mut dests = Vec::with_capacity(k);
+        while dests.len() < k {
+            let d = self.rng.gen_range(0..self.num_nodes);
+            if d != source && !dests.contains(&d) {
+                dests.push(d);
+            }
+        }
+        MulticastSet::new(source, dests)
+    }
+
+    fn exponential_ns(&mut self, mean_ns: f64) -> u64 {
+        let u: f64 = self.rng.gen_range(f64::EPSILON..1.0);
+        (-mean_ns * u.ln()).ceil().max(1.0) as u64
+    }
+}
+
+/// Holds `MulticastGen::multicast_distinct` to the reference draw for
+/// `draws` (source, set) pairs.
+fn assert_same_draws(n: usize, k: usize, seed: u64, draws: usize) {
+    let mut gen = MulticastGen::new(n, seed);
+    let mut reference = ReferenceGen::new(n, seed);
+    for i in 0..draws {
+        let source = gen.source();
+        assert_eq!(
+            source,
+            reference.source(),
+            "n {n} k {k} seed {seed}: source {i}"
+        );
+        assert_eq!(
+            gen.multicast_distinct(source, k),
+            reference.multicast_distinct(source, k),
+            "n {n} k {k} seed {seed}: draw {i}"
+        );
+    }
+}
+
+/// The first 5,000 draws at each k, three seeds each, on `n` nodes.
+fn assert_same_draws_on(n: usize) {
+    for k in [1, 2, 8, 128] {
+        for seed in [2, 29, 0x6d63_6173] {
+            assert_same_draws(n, k, seed, PAIRS);
+        }
+    }
+}
+
+#[test]
+fn distinct_draw_matches_the_quadratic_reference_on_1024_nodes() {
+    assert_same_draws_on(1 << 10);
+}
+
+#[test]
+fn distinct_draw_matches_the_quadratic_reference_on_65536_nodes() {
+    assert_same_draws_on(1 << 16);
+}
+
+#[test]
+fn distinct_draw_of_every_other_node_matches_the_quadratic_reference() {
+    // The rejection loop runs long, and the quadratic reference is slow,
+    // so fewer draws.
+    for seed in [2, 29, 0x6d63_6173] {
+        assert_same_draws(1 << 10, (1 << 10) - 1, seed, 50);
+    }
+}
 
 /// The first `count` injections of the old linear-scan source, before
 /// the pattern rewrite.
@@ -23,7 +114,7 @@ fn linear_scan(
     seed: u64,
     count: usize,
 ) -> Vec<(u64, MulticastSet)> {
-    let mut gen = MulticastGen::new(n, seed);
+    let mut gen = ReferenceGen::new(n, seed);
     let mut next_gen: Vec<(u64, usize)> = (0..n)
         .map(|node| (gen.exponential_ns(mean_interarrival_ns), node))
         .collect();
